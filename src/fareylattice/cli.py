@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .bench import fit_exponent, run_grid, to_csv
+from .bench import ALGOS, fit_exponent, run_grid, to_csv
 from .exactmath import format_fraction, parse_fraction
 from .farey import rank_brute, rank_improved, rank_pawlewicz, statistic, totient_sum
 from .geometry import Polygon, count_lattice, load_polygon, point_in_scaled, validate
@@ -44,8 +44,7 @@ def _int_arg(text: str, name: str, minimum: int = 1) -> int:
 def _cmd_rank(ns) -> int:
     n = _int_arg(ns.n, "--n")
     x = parse_fraction(ns.x)
-    fn = {"improved": rank_improved, "pawlewicz": rank_pawlewicz, "brute": rank_brute}[ns.algo]
-    print(fn(x, n))
+    print(ALGOS[ns.algo](x, n))
     return 0
 
 
@@ -202,7 +201,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rank", help="position of the last Farey fraction <= x")
     p.add_argument("--n", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--algo", choices=["improved", "pawlewicz", "brute"], default="improved")
+    p.add_argument("--algo", choices=list(ALGOS), default="improved")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("stat", help="k-th smallest Farey fraction")
@@ -230,7 +229,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_selftest)
 
     p = sub.add_parser("bench", help="time the rank algorithms over a size grid")
-    p.add_argument("--algo", choices=["improved", "pawlewicz", "brute"], required=True)
+    p.add_argument("--algo", choices=list(ALGOS), required=True)
     p.add_argument("--sizes", required=True, help="comma separated, ascending")
     p.add_argument("--reps", required=True)
     p.add_argument("--fit", action="store_true")

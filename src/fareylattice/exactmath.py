@@ -141,11 +141,6 @@ def _simplest_in(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Fr
     return fl + 1 / sub
 
 
-def _icbrt(m: int) -> int:
-    """floor(m ** (1/3)) for m >= 0, by integer Newton iteration."""
-    return _iroot(m, 3)
-
-
 def _iroot(m: int, e: int) -> int:
     """floor(m ** (1/e)) for m >= 0, e >= 1, exactly."""
     if m < 0:

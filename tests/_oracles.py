@@ -17,6 +17,28 @@ def brute_floor_sum(n, x):
     return sum((b * x.numerator) // x.denominator for b in range(1, n + 1))
 
 
+def divisor_sieve_prefix(x, k):
+    """S_1(x)..S_k(x) by divisor lists, with no Moebius function.
+
+    S_i = sum_{b<=i} floor(b*x) - sum_{d>=2} S_{floor(i/d)}, and while i
+    climbs the d-th term of that sum moves exactly when d divides i, so the
+    divisor lists of 1..k drive one running total.
+    """
+    x = Fraction(x)
+    divisors = [[] for _ in range(k + 1)]
+    for d in range(2, k + 1):
+        for multiple in range(d, k + 1, d):
+            divisors[multiple].append(d)
+    s = [0] * (k + 1)
+    floors = running = 0
+    for i in range(1, k + 1):
+        floors += i * x.numerator // x.denominator
+        for d in divisors[i]:
+            running += s[i // d] - s[(i - 1) // d]
+        s[i] = floors - running
+    return s[1:]
+
+
 def farey_pairs(n):
     """All members of F_n ascending, as (numerator, denominator) pairs.
 

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fareylattice.bench import golden_x
 from fareylattice.farey import (
     BRUTE_LIMIT,
-    divisor_table,
     improved_cutoff,
     rank_brute,
     rank_improved,
@@ -17,31 +18,9 @@ from fareylattice.farey import (
     totient_sum,
 )
 
-from _oracles import farey_members, totient_sieve
+from _oracles import divisor_sieve_prefix, farey_members, totient_sieve
 
 ALL_TIERS = (rank_brute, rank_pawlewicz, rank_improved)
-
-
-class TestDivisorTable:
-    def test_smallest(self):
-        assert divisor_table(1).lists[1] == [1]
-
-    def test_twelve(self):
-        assert divisor_table(12).lists[12] == [1, 2, 3, 4, 6, 12]
-
-    def test_total_entries_100(self):
-        table = divisor_table(100)
-        assert sum(len(l) for l in table.lists[1:]) == 482
-        assert sum(100 // d for d in range(1, 101)) == 482
-
-    def test_lists_are_exact_divisors(self):
-        table = divisor_table(200)
-        for i in range(1, 201):
-            assert table.lists[i] == [d for d in range(1, i + 1) if i % d == 0]
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            divisor_table(0)
 
 
 class TestRankBrute:
@@ -137,6 +116,19 @@ class TestSievedPrefix:
             for i in (1, 2, 3, 5, 17, 50, 111, 200):
                 assert prefix[i - 1] == rank_brute(x, i) - 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), golden_x()]),
+            st.integers(10**11, 10**12 - 1).flatmap(
+                lambda den: st.integers(0, den).map(lambda num: Fraction(num, den))
+            ),
+        ),
+    )
+    def test_matches_divisor_sieve(self, k, x):
+        assert sieved_prefix(x, k) == divisor_sieve_prefix(x, k)
+
 
 class TestImprovedCutoff:
     def test_bounds(self):
@@ -148,10 +140,26 @@ class TestImprovedCutoff:
         assert improved_cutoff(1) == 1
 
     def test_growth_order(self):
-        # k should sit near (n / lg n)^(2/3): sublinear but unbounded
+        # k is a fixed share of n^(2/3): sublinear but unbounded
         assert improved_cutoff(10**6) < 10**5
         assert improved_cutoff(10**6) > 10**3
         assert improved_cutoff(10**9) > improved_cutoff(10**6)
+
+    def test_never_below_isqrt(self):
+        # the quotient sums of rank_improved need every S_w with w <= isqrt(n)
+        for n in list(range(1, 5000)) + [10**6, 10**9, 10**12]:
+            assert improved_cutoff(n) >= isqrt(n)
+
+    def test_tiers_agree_where_the_cutoff_moves(self):
+        # the cutoff steps at perfect cubes and moves on and off isqrt(n)
+        xs = (Fraction(0), Fraction(1), Fraction(1, 2), golden_x(), Fraction(10**12 - 11, 10**12 - 1))
+        clamped = {n: improved_cutoff(n) == isqrt(n) for n in range(1, 5001)}
+        ns = [n for n in range(1, 60) if improved_cutoff(n) >= n]
+        ns += [m**3 + e for m in (2, 3, 7, 15, 16, 17, 31, 64) for e in (-1, 0, 1)]
+        ns += [m for n in range(2, 5001) if clamped[n] != clamped[n - 1] for m in (n - 1, n)]
+        for n in ns:
+            for x in xs:
+                assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
 
 
 class TestTotientSum:
