@@ -60,8 +60,9 @@ def run_grid(algo: str, sizes, reps: int, x: Fraction | None = None) -> list:
     """Time one algorithm across an ascending grid of n.
 
     The grid must hold at least 4 sizes spanning at least two decades so a
-    slope fit is meaningful. Per size, one warm-up run is discarded and the
-    median of reps wall-clock timings is kept.
+    slope fit is meaningful. One discarded warm-up run per size comes
+    first; then the reps go round-robin over the sizes, so every n meets
+    the same mix of clock speeds, and each size keeps its median timing.
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -77,16 +78,15 @@ def run_grid(algo: str, sizes, reps: int, x: Fraction | None = None) -> list:
     fn = ALGOS[algo]
     if x is None:
         x = golden_x()
-    records = []
     for n in sizes:
         fn(x, n)  # warm-up, discarded
-        times = []
-        for _ in range(reps):
+    times = [[] for _ in sizes]
+    for _ in range(reps):
+        for n, ts in zip(sizes, times):
             t0 = time.perf_counter_ns()
             fn(x, n)
-            times.append(time.perf_counter_ns() - t0)
-        records.append(BenchRecord(algo=algo, n=n, reps=reps, median_ns=round(statistics.median(times))))
-    return records
+            ts.append(time.perf_counter_ns() - t0)
+    return [BenchRecord(algo, n, reps, round(statistics.median(ts))) for n, ts in zip(sizes, times)]
 
 
 def fit_exponent(records) -> float:

@@ -17,7 +17,7 @@ from .bench import ALGOS, fit_exponent, run_grid, to_csv
 from .exactmath import format_fraction, parse_fraction
 from .farey import rank_brute, rank_improved, rank_pawlewicz, statistic, totient_sum
 from .geometry import Polygon, count_lattice, load_polygon, point_in_scaled, validate
-from .primitive import primitive_brute, primitive_count, random_star_polygon
+from .primitive import _lattice_box, primitive_brute, primitive_count, random_star_polygon
 
 __all__ = ["main", "run"]
 
@@ -122,26 +122,13 @@ def _selftest_statistic(rng: random.Random, scale: str):
     return True, f"{checked} selections"
 
 
-def _scan_lattice(poly: Polygon) -> int:
-    xs = [v[0] for v in poly.vertices]
-    ys = [v[1] for v in poly.vertices]
-    x0 = -((-min(xs).numerator) // min(xs).denominator)
-    x1 = max(xs).numerator // max(xs).denominator
-    y0 = -((-min(ys).numerator) // min(ys).denominator)
-    y1 = max(ys).numerator // max(ys).denominator
-    return sum(
-        1
-        for x in range(x0, x1 + 1)
-        for y in range(y0, y1 + 1)
-        if point_in_scaled(poly, (x, y), 1)
-    )
-
-
 def _selftest_lattice(rng: random.Random, scale: str):
     polys, dmax = (10, 40) if scale == "small" else (25, 120)
     for i in range(polys):
         poly = random_star_polygon(rng.randint(8, dmax), rng.randint(3, 9), rng)
-        if count_lattice(poly) != _scan_lattice(poly):
+        x0, x1, y0, y1 = _lattice_box(poly)
+        scan = sum(point_in_scaled(poly, (x, y)) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
+        if count_lattice(poly) != scan:
             return False, f"lattice count mismatch on {poly!r}"
     return True, f"{polys} polygons"
 

@@ -11,13 +11,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
-
-Rational = Fraction
 
 __all__ = [
-    "Rational",
-    "gcd",
     "parse_fraction",
     "format_fraction",
     "floor_sum",

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import neg
 
 from .exactmath import _iroot_round
 from .geometry import (
@@ -62,28 +64,47 @@ def _lattice_box(poly: Polygon, scale: int = 1):
     return _ceil_fr(min(xs)), _floor_fr(max(xs)), _ceil_fr(min(ys)), _floor_fr(max(ys))
 
 
+def _wedges(poly: Polygon) -> list:
+    # the edges a -> b of the cleared loop with cab = cross(a, b) > 0; an edge
+    # with cab = 0 runs through the origin and bounds no wedge. The ray
+    # through a point p of the closed wedge leaves the edge at the exact
+    # parameter t = cab / (m * cross(p, b - a)).
+    if not poly.validated:
+        poly = validate(poly)
+    return [
+        (ax, ay, bx, by, m * (bx - ax), m * (by - ay), cab)
+        for ax, ay, bx, by, m in poly._edges_cleared()
+        if (cab := ax * by - ay * bx) > 0
+    ]
+
+
+def _phi(wedges: list, x: int, y: int) -> int:
+    # 1 + the floor of the exit parameter of the ray through (x, y) != 0, or
+    # 0 when no wedge holds the point; the largest value over the wedges
+    # covers a point on a vertex direction or on a radial edge
+    best = -1
+    for ax, ay, bx, by, mdx, mdy, cab in wedges:
+        if ax * y - ay * x >= 0 and x * by - y * bx >= 0:
+            t = cab // (x * mdy - y * mdx)
+            if t > best:
+                best = t
+    return best + 1
+
+
 def phi_value(poly: Polygon, pt, D: int) -> int:
     """Smallest shrink factor i >= 1 that pushes pt out of poly / i.
 
-    pt must be a nonzero lattice point of poly. Membership of pt in poly/i
-    is the same as membership of i*pt in poly, and by star-shapedness it is
-    monotone in i, so a binary search over [1, D+2] finds the threshold;
-    (D+1)*pt is already outside because the whole region lies within D of
-    the origin.
+    pt must be a nonzero lattice point of poly. The origin lies in the
+    kernel, so i*pt is in poly exactly while i <= t*, the exact parameter
+    at which the ray through pt leaves poly, and the threshold is
+    floor(t*) + 1. D, the diameter bound, caps it at D + 1.
     """
     if pt[0] == 0 and pt[1] == 0:
         raise ValueError("phi is not defined at the origin")
-    if not point_in_scaled(poly, pt, 1):
+    phi = _phi(_wedges(poly), pt[0], pt[1])
+    if phi <= 1:
         raise ValueError("point is outside the polygon")
-    lo = 1  # pt in poly/lo
-    hi = D + 2  # pt out of poly/hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if point_in_scaled(poly, pt, mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return phi
 
 
 @dataclass
@@ -100,35 +121,28 @@ class ImplicitTail:
     phis: list = field(default_factory=list)
 
     def count_above(self, i: int) -> int:
-        # entries are sorted descending; count those > i
-        lo, hi = 0, len(self.phis)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.phis[mid] > i:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.phis, -i, key=neg)
 
 
 def precompute_tail(poly: Polygon, tau: int) -> ImplicitTail:
     """Scan P/tau for primitive points and record their exit thresholds.
 
-    Candidates come from the integer bounding box of the shrunk polygon,
-    non-primitive points are discarded, membership is exact, and the
-    resulting phi list is sorted from largest to smallest.
+    Candidates come from the integer bounding box of the shrunk polygon and
+    non-primitive points are discarded. A point is in P/tau exactly when
+    its phi exceeds tau, so one phi per candidate is both the membership
+    test and the recorded value. The list is sorted from largest down.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    D = diameter_bound(poly)
+    wedges = _wedges(poly)
     x0, x1, y0, y1 = _lattice_box(poly, tau)
     phis = []
     for x in range(x0, x1 + 1):
         for y in range(y0, y1 + 1):
-            if (x == 0 and y == 0) or gcd(x, y) != 1:
-                continue
-            if point_in_scaled(poly, (x, y), tau):
-                phis.append(phi_value(poly, (x, y), D))
+            if gcd(x, y) == 1:  # gcd(0, 0) = 0 drops the origin
+                phi = _phi(wedges, x, y)
+                if phi > tau:
+                    phis.append(phi)
     phis.sort(reverse=True)
     return ImplicitTail(tau=tau, phis=phis)
 

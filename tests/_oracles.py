@@ -5,10 +5,11 @@ no shared machinery, so an agreement with the package is evidence and not
 an identity.
 """
 
+import math
 from fractions import Fraction
 from math import gcd
 
-from fareylattice.geometry import contains
+from fareylattice.geometry import Polygon, PolygonError, contains, point_in_scaled, validate
 
 
 def brute_floor_sum(n, x):
@@ -147,13 +148,61 @@ def edge_distance_sq(poly, qx, qy):
 
 
 def phi_scan(poly, pt, D):
-    """Linear scan for the smallest shrink that drops pt, vs binary search."""
+    """Linear scan for the smallest shrink that drops pt, by ray casts."""
     for i in range(1, D + 3):
         num_x = pt[0] * i
         num_y = pt[1] * i
         if not contains(poly, (Fraction(num_x), Fraction(num_y))):
             return i
     raise AssertionError("point never left the polygon")
+
+
+def tail_scan(poly, tau):
+    """Exit thresholds of the primitive points of poly/tau, descending.
+
+    Every primitive point of a box that holds poly/tau passes a ray-cast
+    membership test; each survivor gets its threshold from phi_scan. No
+    coordinate of the region exceeds R, so (R + 1) * p is outside for any
+    nonzero integer p and R bounds every threshold scan.
+    """
+    R = max(math.ceil(abs(c)) for v in poly.vertices for c in v)
+    r = R // tau
+    return sorted(
+        (
+            phi_scan(poly, (x, y), R)
+            for x in range(-r, r + 1)
+            for y in range(-r, r + 1)
+            if gcd(x, y) == 1 and point_in_scaled(poly, (x, y), tau)
+        ),
+        reverse=True,
+    )
+
+
+def nonconvex_star(rng, diameter, k, den_digits=0):
+    """A validated non-convex polygon, star-shaped about the origin.
+
+    One vertex per angular sector of width 2*pi/k, at a random radius in
+    [0.15, 0.5] * diameter, each coordinate a fraction with a random
+    denominator below 10**den_digits. A draw that rounding or a wide turn
+    makes invalid is redrawn.
+    """
+    for _ in range(1000):
+        vertices = []
+        for s in range(k):
+            angle = 2 * math.pi * (s + 0.1 + 0.8 * rng.random()) / k
+            radius = diameter * (0.15 + 0.35 * rng.random())
+            den = rng.randint(1, 10**den_digits)
+            vertices.append(
+                (
+                    Fraction(round(radius * math.cos(angle) * den), den),
+                    Fraction(round(radius * math.sin(angle) * den), den),
+                )
+            )
+        try:
+            return validate(Polygon(vertices))
+        except PolygonError:
+            continue
+    raise RuntimeError("could not draw a valid star")
 
 
 def simplest_scan(lo, hi, qmax):

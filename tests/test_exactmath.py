@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from fareylattice.exactmath import (
     floor_sum,
     floor_sum_affine,
     format_fraction,
-    gcd,
     parse_fraction,
 )
 

@@ -1,12 +1,16 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fareylattice.farey import rank_brute
 from fareylattice.geometry import (
     Polygon,
+    PolygonError,
     contains,
     count_lattice,
     diameter_bound,
@@ -26,9 +30,63 @@ from fareylattice.primitive import (
     tail_query,
 )
 
-from _oracles import gcd_classes, phi_scan
+from _oracles import gcd_classes, nonconvex_star, phi_scan, tail_scan
 
 SQUARE2 = [(-2, -2), (2, -2), (2, 2), (-2, 2)]
+E12 = 10**12
+# the edge from -(u, v) to c*(u, v), c > 0, runs through the origin
+_U, _V, _C = Fraction(9 * E12 + 1, E12), Fraction(6 * E12 + 1, E12 - 11), Fraction(2, 3) - Fraction(1, E12)
+DEGENERATE = {
+    "farey-triangle": [(0, 0), (13, 0), (13, Fraction(65, 7))],
+    "origin-vertex-two-radial-edges": [(0, 0), (5, 0), (10, 0), (10, 7)],
+    "origin-in-edge": [(-6, 0), (6, 0), (4, 5), (-3, 7)],
+    "origin-in-slanted-edge": [(-3, -2), (Fraction(9, 2), 3), (-1, 8)],
+    "radial-edge-outward": [(-6, -6), (6, -6), (2, 2), (8, 8), (-6, 6)],
+    "radial-edge-inward": [(-6, -6), (6, -6), (9, 3), (3, 1), (-6, 6)],
+    "den-1e12": [
+        (-5 + Fraction(1, E12), -Fraction(3, E12 - 11)),
+        (Fraction(7 * E12 - 1, E12), -4),
+        (6 - Fraction(1, E12), 6 - Fraction(1, E12)),
+        (-Fraction(1, E12 - 39), Fraction(9 * E12 + 7, E12)),
+    ],
+    "den-1e12-origin-in-edge": [(-_U, -_V), (_C * _U, _C * _V), (-2, 9)],
+}
+
+
+def check_phi_on_box(poly):
+    # every primitive point of a box around the region: phi_value agrees
+    # with the ray-cast scan inside and refuses the point outside
+    D = diameter_bound(poly)
+    for x in range(-D, D + 1):
+        for y in range(-D, D + 1):
+            if gcd(x, y) != 1:
+                continue
+            if contains(poly, (x, y)):
+                assert phi_value(poly, (x, y), D) == phi_scan(poly, (x, y), D), (x, y)
+            else:
+                with pytest.raises(ValueError):
+                    phi_value(poly, (x, y), D)
+
+
+@st.composite
+def star_loops(draw):
+    """Small non-convex loops, one vertex per angular sector."""
+    k = draw(st.integers(4, 7))
+    den = draw(st.sampled_from((1, 2, 3, E12 - 11)))
+    vertices = []
+    for s in range(k):
+        angle = 2 * math.pi * (s + draw(st.integers(1, 9)) / 10) / k
+        radius = draw(st.integers(2, 10))
+        vertices.append(
+            (
+                Fraction(round(radius * math.cos(angle) * den), den),
+                Fraction(round(radius * math.sin(angle) * den), den),
+            )
+        )
+    try:
+        return validate(Polygon(vertices))
+    except PolygonError:
+        assume(False)
 
 
 def square2():
@@ -75,6 +133,15 @@ class TestPhiValue:
                 if checked >= 25:
                     break
             assert checked >= 10
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_matches_scan_on_degenerate_corpus(self, name):
+        check_phi_on_box(validate(Polygon(DEGENERATE[name])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(star_loops())
+    def test_matches_scan_on_star_loops(self, poly):
+        check_phi_on_box(poly)
 
     def test_range(self):
         # every in-region nonzero point leaves by scale D+1
@@ -133,6 +200,24 @@ class TestPrecomputeTail:
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             precompute_tail(square2(), 0)
+
+    def test_clockwise_unvalidated_input(self):
+        # the wedges need the counterclockwise loop that validate makes
+        clockwise = Polygon(SQUARE2[::-1])
+        assert precompute_tail(clockwise, 1).phis == precompute_tail(square2(), 1).phis
+        assert phi_value(clockwise, (1, 1), diameter_bound(square2())) == 3
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_matches_scan_on_degenerate_corpus(self, name):
+        poly = validate(Polygon(DEGENERATE[name]))
+        for tau in range(1, diameter_bound(poly) + 2):
+            assert precompute_tail(poly, tau).phis == tail_scan(poly, tau), tau
+
+    @settings(max_examples=40, deadline=None)
+    @given(star_loops(), st.integers(1, 30))
+    def test_matches_scan_on_star_loops(self, poly, tau):
+        tau = 1 + (tau - 1) % (diameter_bound(poly) + 1)
+        assert precompute_tail(poly, tau).phis == tail_scan(poly, tau)
 
 
 class TestTailQuery:
@@ -214,6 +299,21 @@ class TestPrimitiveCount:
             d = round(8 * (25 ** rng.random()))
             poly = random_star_polygon(d, rng.randint(3, 9), rng)
             assert primitive_count(poly) == primitive_brute(poly)
+
+    def test_matches_brute_on_nonconvex_stars(self):
+        rng = random.Random(2718)
+        reflex = 0
+        for _ in range(20):
+            poly = nonconvex_star(rng, rng.randint(10, 120), rng.randint(4, 24), rng.choice((0, 12)))
+            vs = poly.vertices
+            reflex += any(
+                (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) < 0
+                for a, b, c in zip(vs[-1:] + vs[:-1], vs, vs[1:] + vs[:1])
+            )
+            want = primitive_brute(poly)
+            assert primitive_count(poly) == want
+            assert primitive_count(poly, tau=rng.randint(1, diameter_bound(poly))) == want
+        assert reflex >= 15  # the corpus is mostly non-convex
 
     def test_tau_sweep(self):
         rng = random.Random(11)
