@@ -16,8 +16,8 @@ from fractions import Fraction
 from .bench import ALGOS, fit_exponent, run_grid, to_csv
 from .exactmath import format_fraction, parse_fraction
 from .farey import rank_brute, rank_improved, rank_pawlewicz, statistic, totient_sum
-from .geometry import Polygon, count_lattice, load_polygon, point_in_scaled, validate
-from .primitive import _lattice_box, primitive_brute, primitive_count, random_star_polygon
+from .geometry import Polygon, _lattice_box, count_lattice, load_polygon, point_in_scaled, validate
+from .primitive import primitive_brute, primitive_count, random_star_polygon
 
 __all__ = ["main", "run"]
 
@@ -75,13 +75,22 @@ def _cmd_primitive(ns) -> int:
     return 0
 
 
+def _algo_list(text: str) -> list:
+    algos = text.split(",")
+    for algo in algos:
+        if algo not in ALGOS:
+            raise argparse.ArgumentTypeError(f"unknown algorithm {algo!r} (choose from {', '.join(ALGOS)})")
+    return algos
+
+
 def _cmd_bench(ns) -> int:
     sizes = [_int_arg(s, "--sizes entry") for s in ns.sizes.split(",")]
     reps = _int_arg(ns.reps, "--reps")
-    records = run_grid(ns.algo, sizes, reps)
-    sys.stdout.write(to_csv(records))
-    if ns.fit:
-        print(f"exponent,{fit_exponent(records):.3f}")
+    for algo in ns.algo:
+        records = run_grid(algo, sizes, reps)
+        sys.stdout.write(to_csv(records))
+        if ns.fit:
+            print(f"exponent,{fit_exponent(records):.3f}")
     return 0
 
 
@@ -124,12 +133,13 @@ def _selftest_statistic(rng: random.Random, scale: str):
 
 def _selftest_lattice(rng: random.Random, scale: str):
     polys, dmax = (10, 40) if scale == "small" else (25, 120)
-    for i in range(polys):
+    for _ in range(polys):
         poly = random_star_polygon(rng.randint(8, dmax), rng.randint(3, 9), rng)
-        x0, x1, y0, y1 = _lattice_box(poly)
-        scan = sum(point_in_scaled(poly, (x, y)) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
-        if count_lattice(poly) != scan:
-            return False, f"lattice count mismatch on {poly!r}"
+        for i in (1, 2, 3):  # the DP counts shrunk copies P/i
+            x0, x1, y0, y1 = _lattice_box(poly, i)
+            scan = sum(point_in_scaled(poly, (x, y), i) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
+            if count_lattice(poly, i) != scan:
+                return False, f"lattice count mismatch at i={i} on {poly!r}"
     return True, f"{polys} polygons"
 
 
@@ -216,7 +226,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_selftest)
 
     p = sub.add_parser("bench", help="time the rank algorithms over a size grid")
-    p.add_argument("--algo", choices=list(ALGOS), required=True)
+    p.add_argument("--algo", type=_algo_list, required=True, help="comma separated: " + ",".join(ALGOS))
     p.add_argument("--sizes", required=True, help="comma separated, ascending")
     p.add_argument("--reps", required=True)
     p.add_argument("--fit", action="store_true")

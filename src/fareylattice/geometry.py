@@ -50,10 +50,6 @@ class Polygon:
         self._int_edges = None
 
     @property
-    def k(self) -> int:
-        return len(self.vertices)
-
-    @property
     def bits(self) -> int:
         """Largest bit length over all coordinate numerators/denominators."""
         b = 1
@@ -284,62 +280,32 @@ def diameter_bound(poly: Polygon) -> int:
     return poly._diameter
 
 
-def _ceil_fr(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
+def _lattice_box(poly: Polygon, i: int = 1):
+    # integer bounding box (x0, x1, y0, y1) of poly shrunk by i, read off the
+    # start vertex of every cleared edge at the scale m*i
+    vs = [(ax, ay, m * i) for ax, ay, _, _, m in poly._edges_cleared()]
+    return (
+        min(-(-x // s) for x, _, s in vs),
+        max(x // s for x, _, s in vs),
+        min(-(-y // s) for _, y, s in vs),
+        max(y // s for _, y, s in vs),
+    )
 
 
-def _ext_gcd(a: int, b: int):
-    # returns (g, u, v) with a*u + b*v = g = gcd(a, b), g >= 0
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
-def _count_strictly_between(lo: Fraction, hi: Fraction) -> int:
-    # integers t with lo < t < hi
-    n = _ceil_fr(hi) - 1 - (lo.numerator // lo.denominator)
-    return n if n > 0 else 0
-
-
-def _segment_interior_lattice(a, b) -> int:
-    """Lattice points strictly between the rational endpoints a and b."""
-    la = b[1] - a[1]
-    lb = a[0] - b[0]
-    lc = la * a[0] + lb * a[1]
-    m = lcm(la.denominator, lb.denominator, lc.denominator)
-    ia = la.numerator * (m // la.denominator)
-    ib = lb.numerator * (m // lb.denominator)
-    ic = lc.numerator * (m // lc.denominator)
-    g, u, v = _ext_gcd(ia, ib)
-    if ic % g:
+def _open_edge_lattice(ax, ay, dx, dy, s, cab) -> int:
+    # lattice points strictly inside the edge from (ax, ay)/s along
+    # (dx, dy)/s, for dx > 0 or dx == 0 < dy; they solve dy*x - dx*y = cab/s,
+    # which needs cab/s to be a multiple of g = gcd(dx, dy)
+    g = gcd(dx, dy)
+    if cab % (s * g):
         return 0
-    ia //= g
-    ib //= g
-    ic //= g
-    x0 = u * ic
-    y0 = v * ic
-    # all integer solutions: (x0 + t*ib, y0 - t*ia)
-    if ib != 0:
-        lo_x, hi_x = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
-        t_lo = (lo_x - x0) / ib
-        t_hi = (hi_x - x0) / ib
-        if ib < 0:
-            t_lo, t_hi = t_hi, t_lo
-        return _count_strictly_between(t_lo, t_hi)
-    lo_y, hi_y = (a[1], b[1]) if a[1] < b[1] else (b[1], a[1])
-    t_lo = (y0 - hi_y) / ia
-    t_hi = (y0 - lo_y) / ia
-    if ia < 0:
-        t_lo, t_hi = t_hi, t_lo
-    return _count_strictly_between(t_lo, t_hi)
+    if dx == 0:
+        return (ay + dy - 1) // s - ay // s
+    # the solutions' x run through x0 + t*q; count the t with ax < s*x < ax + dx
+    q = dx // g
+    x0 = cab // (s * g) * pow(dy // g, -1, q) % q
+    lo = ax - s * x0
+    return (lo + dx - 1) // (s * q) - lo // (s * q)
 
 
 def _sign_against_downright(dx, dy) -> int:
@@ -350,10 +316,10 @@ def _sign_against_downright(dx, dy) -> int:
     return -1 if dy > 0 else 1
 
 
-def _downright_exterior(u, v, w) -> bool:
-    """Does a tiny down-right step from vertex v leave the region."""
-    adx, ady = v[0] - u[0], v[1] - u[1]
-    bdx, bdy = w[0] - v[0], w[1] - v[1]
+def _downright_exterior(adx, ady, bdx, bdy) -> bool:
+    """Does a tiny down-right step leave the region at a vertex entered
+    along (adx, ady) and left along (bdx, bdy)? Only signs are read, so
+    each direction may carry its own positive scale."""
     sa = _sign_against_downright(adx, ady)
     sb = _sign_against_downright(bdx, bdy)
     turn = adx * bdy - ady * bdx
@@ -366,8 +332,9 @@ def _downright_exterior(u, v, w) -> bool:
     return not interior
 
 
-def count_lattice(poly: Polygon) -> int:
-    """Lattice points in the closed region, via one floor sum per edge.
+def count_lattice(poly: Polygon, i: int = 1) -> int:
+    """Lattice points in the closed region of poly shrunk by i, via one
+    floor sum per edge; i*pt in poly is the same test as point_in_scaled.
 
     Signed column sums with a fixed down-right half-open convention: each
     non-vertical edge contributes sum of floor(edge_y(c)) over its integer
@@ -378,39 +345,32 @@ def count_lattice(poly: Polygon) -> int:
     interior. Boundary points that convention misses are added back: the
     relative interiors of rightward and upward edges (an integer line
     equation per edge) and the integer vertices whose down-right step exits
-    the region.
+    the region. Every edge is read at the integer scale s = m*i of its
+    cleared form, so no Fraction is made.
     """
-    vs = poly.vertices
-    k = len(vs)
+    if not poly.validated:
+        poly = validate(poly)
+    edges = poly._edges_cleared()
     total = 0
-    for i in range(k):
-        a = vs[i]
-        b = vs[(i + 1) % k]
-        if a[0] == b[0]:
-            continue  # vertical edges own no columns
-        leftward = b[0] < a[0]
-        xlo, xhi = (b[0], a[0]) if leftward else (a[0], b[0])
-        c0 = _ceil_fr(xlo)
-        c1 = _ceil_fr(xhi) - 1
-        if c0 > c1:
-            continue
-        slope = (b[1] - a[1]) / (b[0] - a[0])
-        intercept = a[1] - a[0] * slope
-        m = lcm(slope.denominator, intercept.denominator)
-        sa = slope.numerator * (m // slope.denominator)
-        sb = intercept.numerator * (m // intercept.denominator)
-        block = floor_sum_affine(c1 - c0 + 1, m, sa, sa * c0 + sb)
-        total += block if leftward else -block
-    for i in range(k):
-        a = vs[i]
-        b = vs[(i + 1) % k]
-        if b[0] > a[0] or (a[0] == b[0] and b[1] > a[1]):
-            total += _segment_interior_lattice(a, b)
-    for i in range(k):
-        v = vs[i]
-        if v[0].denominator == 1 and v[1].denominator == 1:
-            if _downright_exterior(vs[i - 1], v, vs[(i + 1) % k]):
-                total += 1
+    pax, pay, pbx, pby, _ = edges[-1]
+    pdx, pdy = pbx - pax, pby - pay
+    for ax, ay, bx, by, m in edges:
+        s = m * i
+        dx, dy = bx - ax, by - ay
+        cab = ax * by - ay * bx
+        # edge_y(c) = (s*dy*c - cab) / (s*dx) on the columns c with
+        # min(ax, bx) <= s*c < max(ax, bx)
+        if dx > 0:
+            c0 = -(-ax // s)
+            total -= floor_sum_affine(-(-bx // s) - c0, s * dx, s * dy, s * dy * c0 - cab)
+        elif dx < 0:
+            c0 = -(-bx // s)
+            total += floor_sum_affine(-(-ax // s) - c0, -s * dx, -s * dy, cab - s * dy * c0)
+        if dx > 0 or (dx == 0 and dy > 0):
+            total += _open_edge_lattice(ax, ay, dx, dy, s, cab)
+        if ax % s == 0 and ay % s == 0 and _downright_exterior(pdx, pdy, dx, dy):
+            total += 1
+        pdx, pdy = dx, dy
     return total
 
 

@@ -29,12 +29,11 @@ from operator import neg
 from .exactmath import _iroot_round
 from .geometry import (
     Polygon,
-    _ceil_fr,
+    _lattice_box,
     convex_hull,
     count_lattice,
     diameter_bound,
     point_in_scaled,
-    scale_down,
     validate,
 )
 
@@ -51,17 +50,6 @@ __all__ = [
 ]
 
 BRUTE_LIMIT = 5000
-
-
-def _floor_fr(f: Fraction) -> int:
-    return f.numerator // f.denominator
-
-
-def _lattice_box(poly: Polygon, scale: int = 1):
-    # integer bounding box of poly shrunk by scale
-    xs = [v[0] / scale for v in poly.vertices]
-    ys = [v[1] / scale for v in poly.vertices]
-    return _ceil_fr(min(xs)), _floor_fr(max(xs)), _ceil_fr(min(ys)), _floor_fr(max(ys))
 
 
 def _wedges(poly: Polygon) -> list:
@@ -91,13 +79,13 @@ def _phi(wedges: list, x: int, y: int) -> int:
     return best + 1
 
 
-def phi_value(poly: Polygon, pt, D: int) -> int:
+def phi_value(poly: Polygon, pt) -> int:
     """Smallest shrink factor i >= 1 that pushes pt out of poly / i.
 
     pt must be a nonzero lattice point of poly. The origin lies in the
     kernel, so i*pt is in poly exactly while i <= t*, the exact parameter
     at which the ray through pt leaves poly, and the threshold is
-    floor(t*) + 1. D, the diameter bound, caps it at D + 1.
+    floor(t*) + 1.
     """
     if pt[0] == 0 and pt[1] == 0:
         raise ValueError("phi is not defined at the origin")
@@ -111,7 +99,7 @@ def phi_value(poly: Polygon, pt, D: int) -> int:
 class ImplicitTail:
     """Exit thresholds of the lattice points that survive the tau shrink.
 
-    phis holds phi_value(P, p, D), sorted descending, for every primitive
+    phis holds phi_value(P, p), sorted descending, for every primitive
     nonzero lattice point p of P/tau. A point is in P/i exactly when its
     phi exceeds i, so counting entries above a threshold answers S(P/i)
     for any i >= tau.
@@ -174,7 +162,7 @@ def dp_term(i: int, tail: ImplicitTail, run: PrimitiveRun, poly: Polygon, groupe
     values ends. Both summation orders add the same terms, so grouped and
     ungrouped results are identical.
     """
-    total = count_lattice(scale_down(poly, i) if i > 1 else poly) - 1
+    total = count_lattice(poly, i) - 1
     d_max = (run.D + 1) // i
     d = 2
     while d <= d_max and i * d < run.tau:

@@ -9,7 +9,52 @@ import math
 from fractions import Fraction
 from math import gcd
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from fareylattice.geometry import Polygon, PolygonError, contains, point_in_scaled, validate
+
+# Degenerate polygons shared by the geometry and primitive suites: the origin
+# at a vertex or inside an edge, radial edges, denominators near 10^12.
+E12 = 10**12
+# the edge from -(u, v) to c*(u, v), c > 0, runs through the origin
+_U, _V, _C = Fraction(9 * E12 + 1, E12), Fraction(6 * E12 + 1, E12 - 11), Fraction(2, 3) - Fraction(1, E12)
+DEGENERATE = {
+    "farey-triangle": [(0, 0), (13, 0), (13, Fraction(65, 7))],
+    "origin-vertex-two-radial-edges": [(0, 0), (5, 0), (10, 0), (10, 7)],
+    "origin-in-edge": [(-6, 0), (6, 0), (4, 5), (-3, 7)],
+    "origin-in-slanted-edge": [(-3, -2), (Fraction(9, 2), 3), (-1, 8)],
+    "radial-edge-outward": [(-6, -6), (6, -6), (2, 2), (8, 8), (-6, 6)],
+    "radial-edge-inward": [(-6, -6), (6, -6), (9, 3), (3, 1), (-6, 6)],
+    "den-1e12": [
+        (-5 + Fraction(1, E12), -Fraction(3, E12 - 11)),
+        (Fraction(7 * E12 - 1, E12), -4),
+        (6 - Fraction(1, E12), 6 - Fraction(1, E12)),
+        (-Fraction(1, E12 - 39), Fraction(9 * E12 + 7, E12)),
+    ],
+    "den-1e12-origin-in-edge": [(-_U, -_V), (_C * _U, _C * _V), (-2, 9)],
+}
+
+
+@st.composite
+def star_loops(draw):
+    """Small non-convex loops, one vertex per angular sector."""
+    k = draw(st.integers(4, 7))
+    den = draw(st.sampled_from((1, 2, 3, E12 - 11)))
+    vertices = []
+    for s in range(k):
+        angle = 2 * math.pi * (s + draw(st.integers(1, 9)) / 10) / k
+        radius = draw(st.integers(2, 10))
+        vertices.append(
+            (
+                Fraction(round(radius * math.cos(angle) * den), den),
+                Fraction(round(radius * math.sin(angle) * den), den),
+            )
+        )
+    try:
+        return validate(Polygon(vertices))
+    except PolygonError:
+        assume(False)
 
 
 def brute_floor_sum(n, x):

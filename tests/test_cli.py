@@ -98,6 +98,7 @@ class TestUsageErrors:
             ["rank", "--n", "4", "--x", "1/2", "--algo", "magic"],
             ["stat", "--n", "4"],
             ["bench", "--sizes", "10,40,200,1000"],
+            ["bench", "--algo", "improved,magic", "--sizes", "10,40,200,1000", "--reps", "3"],
         ],
     )
     def test_exit_one(self, capsys, argv):
@@ -179,6 +180,20 @@ class TestBenchCommand:
         last = out.strip().splitlines()[-1]
         assert last.startswith("exponent,")
         float(last.split(",")[1])  # parses as a number
+
+    def test_algo_list_in_order(self, capsys):
+        code, out, _ = invoke(
+            capsys,
+            "bench", "--algo", "brute,improved", "--sizes", "10,40,200,1000",
+            "--reps", "3", "--fit",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 12
+        for block, algo in zip((lines[:6], lines[6:]), ("brute", "improved")):
+            assert block[0] == "algo,n,reps,median_ns"
+            assert all(line.startswith(algo + ",") for line in block[1:5])
+            assert block[5].startswith("exponent,")
 
 
 class TestEntryPoint:

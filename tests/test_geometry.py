@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from fareylattice.geometry import (
     Polygon,
@@ -19,7 +20,7 @@ from fareylattice.geometry import (
 )
 from fareylattice.primitive import random_star_polygon
 
-from _oracles import edge_distance_sq, float_contains, lattice_scan
+from _oracles import DEGENERATE, edge_distance_sq, float_contains, lattice_scan, star_loops
 
 SQUARE2 = [(-2, -2), (2, -2), (2, 2), (-2, 2)]
 TRIANGLE = [(0, 0), (4, 0), (4, 2)]
@@ -32,6 +33,13 @@ def square2():
 
 def triangle():
     return validate(Polygon(TRIANGLE))
+
+
+def check_shrunk_counts(poly):
+    # count_lattice(P, i) against the Fraction polygon P/i, counted and scanned
+    for i in range(1, diameter_bound(poly) + 3):
+        shrunk = scale_down(poly, i)
+        assert count_lattice(poly, i) == count_lattice(shrunk) == lattice_scan(shrunk), i
 
 
 class TestParse:
@@ -240,6 +248,25 @@ class TestCountLattice:
         for _ in range(5):
             poly = random_star_polygon(rng.randint(8, 60), rng.randint(3, 7), rng)
             assert count_lattice(scale_down(poly, diameter_bound(poly) + 1)) == 1
+
+    @pytest.mark.parametrize("i,want", [(1, 25), (2, 9)])
+    def test_clockwise_unvalidated_square(self, i, want):
+        # the column sums need the counterclockwise loop that validate makes
+        assert count_lattice(Polygon(SQUARE2[::-1]), i) == want
+
+    def test_unvalidated_origin_outside_rejected(self):
+        with pytest.raises(PolygonError) as err:
+            count_lattice(Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]))
+        assert err.value.violation == "origin-outside"
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_shrunk_matches_scan_on_degenerate_corpus(self, name):
+        check_shrunk_counts(validate(Polygon(DEGENERATE[name])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(star_loops())
+    def test_shrunk_matches_scan_on_star_loops(self, poly):
+        check_shrunk_counts(poly)
 
 
 class TestConvexHull:

@@ -1,16 +1,14 @@
-import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fareylattice.farey import rank_brute
 from fareylattice.geometry import (
     Polygon,
-    PolygonError,
     contains,
     count_lattice,
     diameter_bound,
@@ -30,27 +28,9 @@ from fareylattice.primitive import (
     tail_query,
 )
 
-from _oracles import gcd_classes, nonconvex_star, phi_scan, tail_scan
+from _oracles import DEGENERATE, gcd_classes, nonconvex_star, phi_scan, star_loops, tail_scan
 
 SQUARE2 = [(-2, -2), (2, -2), (2, 2), (-2, 2)]
-E12 = 10**12
-# the edge from -(u, v) to c*(u, v), c > 0, runs through the origin
-_U, _V, _C = Fraction(9 * E12 + 1, E12), Fraction(6 * E12 + 1, E12 - 11), Fraction(2, 3) - Fraction(1, E12)
-DEGENERATE = {
-    "farey-triangle": [(0, 0), (13, 0), (13, Fraction(65, 7))],
-    "origin-vertex-two-radial-edges": [(0, 0), (5, 0), (10, 0), (10, 7)],
-    "origin-in-edge": [(-6, 0), (6, 0), (4, 5), (-3, 7)],
-    "origin-in-slanted-edge": [(-3, -2), (Fraction(9, 2), 3), (-1, 8)],
-    "radial-edge-outward": [(-6, -6), (6, -6), (2, 2), (8, 8), (-6, 6)],
-    "radial-edge-inward": [(-6, -6), (6, -6), (9, 3), (3, 1), (-6, 6)],
-    "den-1e12": [
-        (-5 + Fraction(1, E12), -Fraction(3, E12 - 11)),
-        (Fraction(7 * E12 - 1, E12), -4),
-        (6 - Fraction(1, E12), 6 - Fraction(1, E12)),
-        (-Fraction(1, E12 - 39), Fraction(9 * E12 + 7, E12)),
-    ],
-    "den-1e12-origin-in-edge": [(-_U, -_V), (_C * _U, _C * _V), (-2, 9)],
-}
 
 
 def check_phi_on_box(poly):
@@ -62,31 +42,10 @@ def check_phi_on_box(poly):
             if gcd(x, y) != 1:
                 continue
             if contains(poly, (x, y)):
-                assert phi_value(poly, (x, y), D) == phi_scan(poly, (x, y), D), (x, y)
+                assert phi_value(poly, (x, y)) == phi_scan(poly, (x, y), D), (x, y)
             else:
                 with pytest.raises(ValueError):
-                    phi_value(poly, (x, y), D)
-
-
-@st.composite
-def star_loops(draw):
-    """Small non-convex loops, one vertex per angular sector."""
-    k = draw(st.integers(4, 7))
-    den = draw(st.sampled_from((1, 2, 3, E12 - 11)))
-    vertices = []
-    for s in range(k):
-        angle = 2 * math.pi * (s + draw(st.integers(1, 9)) / 10) / k
-        radius = draw(st.integers(2, 10))
-        vertices.append(
-            (
-                Fraction(round(radius * math.cos(angle) * den), den),
-                Fraction(round(radius * math.sin(angle) * den), den),
-            )
-        )
-    try:
-        return validate(Polygon(vertices))
-    except PolygonError:
-        assume(False)
+                    phi_value(poly, (x, y))
 
 
 def square2():
@@ -100,19 +59,18 @@ def farey_triangle(n, x):
 class TestPhiValue:
     def test_square_examples(self):
         sq = square2()
-        D = diameter_bound(sq)
-        assert phi_value(sq, (1, 1), D) == 3
-        assert phi_value(sq, (2, 1), D) == 2
+        assert phi_value(sq, (1, 1)) == 3
+        assert phi_value(sq, (2, 1)) == 2
 
     def test_origin_rejected(self):
         sq = square2()
         with pytest.raises(ValueError):
-            phi_value(sq, (0, 0), diameter_bound(sq))
+            phi_value(sq, (0, 0))
 
     def test_outside_rejected(self):
         sq = square2()
         with pytest.raises(ValueError):
-            phi_value(sq, (3, 0), diameter_bound(sq))
+            phi_value(sq, (3, 0))
 
     def test_matches_linear_scan(self):
         rng = random.Random(7130)
@@ -128,7 +86,7 @@ class TestPhiValue:
             rng.shuffle(pts)
             checked = 0
             for pt in pts:
-                assert phi_value(poly, pt, D) == phi_scan(poly, pt, D)
+                assert phi_value(poly, pt) == phi_scan(poly, pt, D)
                 checked += 1
                 if checked >= 25:
                     break
@@ -153,7 +111,7 @@ class TestPhiValue:
                 if (x, y) == (0, 0):
                     continue
                 try:
-                    phi = phi_value(poly, (x, y), D)
+                    phi = phi_value(poly, (x, y))
                 except ValueError:
                     continue
                 assert 2 <= phi <= D + 2
@@ -205,7 +163,7 @@ class TestPrecomputeTail:
         # the wedges need the counterclockwise loop that validate makes
         clockwise = Polygon(SQUARE2[::-1])
         assert precompute_tail(clockwise, 1).phis == precompute_tail(square2(), 1).phis
-        assert phi_value(clockwise, (1, 1), diameter_bound(square2())) == 3
+        assert phi_value(clockwise, (1, 1)) == 3
 
     @pytest.mark.parametrize("name", DEGENERATE)
     def test_matches_scan_on_degenerate_corpus(self, name):
