@@ -39,7 +39,6 @@ from .geometry import (
 )
 from .primitive import (
     ImplicitTail,
-    PrimitiveRun,
     dp_term,
     phi_value,
     precompute_tail,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .bench import ALGOS, fit_exponent, run_grid, to_csv
 from .exactmath import format_fraction, parse_fraction
 from .farey import rank_brute, rank_improved, rank_pawlewicz, statistic, totient_sum
-from .geometry import Polygon, _lattice_box, count_lattice, load_polygon, point_in_scaled, validate
+from .geometry import Polygon, _lattice_box, count_lattice, diameter_bound, load_polygon, point_in_scaled, validate
 from .primitive import primitive_brute, primitive_count, random_star_polygon
 
 __all__ = ["main", "run"]
@@ -150,8 +150,8 @@ def _selftest_primitive(rng: random.Random, scale: str):
         want = primitive_brute(poly)
         if primitive_count(poly) != want:
             return False, f"primitive count mismatch on {poly!r}"
-        if primitive_count(poly, grouped=False) != want:
-            return False, f"ungrouped mismatch on {poly!r}"
+        if primitive_count(poly, tau=diameter_bound(poly)) != want:
+            return False, f"all-dense split mismatch on {poly!r}"
         if primitive_count(poly, tau=2) != want:
             return False, f"tau override mismatch on {poly!r}"
     return True, f"{polys} polygons"

@@ -348,6 +348,8 @@ def count_lattice(poly: Polygon, i: int = 1) -> int:
     the region. Every edge is read at the integer scale s = m*i of its
     cleared form, so no Fraction is made.
     """
+    if i < 1:
+        raise ValueError("scale factor must be >= 1")
     if not poly.validated:
         poly = validate(poly)
     edges = poly._edges_cleared()

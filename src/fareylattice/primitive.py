@@ -9,17 +9,18 @@ points by the gcd of their coordinates gives
 
 where P/d is P shrunk by d and the -1 removes the origin, which belongs to
 no coprimality class. The recursion only ever meets shrink factors, so the
-computation is a dynamic program over scales: factors below a crossover tau
-get a dense table filled by the recursion itself, factors above it shrink
-the polygon so far that the few surviving points are tabulated once, each
-with the largest shrink it survives, and every remaining term becomes a
-threshold count on that table.
+computation is a dynamic program over one flat table S[j] = S(P/j): factors
+at or above a crossover tau shrink the polygon so far that the few surviving
+points are tabulated once, each with the first shrink that pushes it out,
+and S[j] there is the number of thresholds above j; factors below tau are
+filled by the recursion itself, each term one strided sum over the table.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +47,6 @@ __all__ = [
     "primitive_brute",
     "random_star_polygon",
     "ImplicitTail",
-    "PrimitiveRun",
 ]
 
 BRUTE_LIMIT = 5000
@@ -108,9 +108,6 @@ class ImplicitTail:
     tau: int
     phis: list = field(default_factory=list)
 
-    def count_above(self, i: int) -> int:
-        return bisect_left(self.phis, -i, key=neg)
-
 
 def precompute_tail(poly: Polygon, tau: int) -> ImplicitTail:
     """Scan P/tau for primitive points and record their exit thresholds.
@@ -139,71 +136,32 @@ def tail_query(tail: ImplicitTail, i: int) -> int:
     """S(P/i) for i at or beyond the tail cutoff: entries above i."""
     if i < tail.tau:
         raise ValueError("shrink factor below the tail cutoff")
-    return tail.count_above(i)
+    return bisect_left(tail.phis, -i, key=neg)
 
 
-@dataclass
-class PrimitiveRun:
-    """Dense part of the dynamic program plus its tuning constants."""
+def dp_term(i: int, S, poly: Polygon) -> int:
+    """S(P/i) = A(P/i) - 1 - sum_{d>=2} S(P/(i*d)).
 
-    small: list  # small[i] = S(P/i) for 1 <= i < tau; index 0 unused
-    D: int
-    tau: int
-
-
-def dp_term(i: int, tail: ImplicitTail, run: PrimitiveRun, poly: Polygon, grouped: bool = True) -> int:
-    """S(P/i) assuming every S(P/j) for j > i is already answerable.
-
-    Expands A(P/i) - 1 - sum_{d>=2} S(P/(i*d)) with d running while
-    i*d <= D+1 (larger shrinks hold nothing but the origin). Terms with
-    i*d below tau read the dense table; up to delta = (D^2 i)^(1/3) they
-    are individual threshold counts on the tail; beyond delta equal counts
-    are grouped, a binary search over d finding where each run of equal
-    values ends. Both summation orders add the same terms, so grouped and
-    ungrouped results are identical.
+    S is any sequence holding S[j] = S(P/j) for every j > i that supports
+    stride slicing; indices past its end read 0, so it need only run up to
+    the last nonzero entry.
     """
-    total = count_lattice(poly, i) - 1
-    d_max = (run.D + 1) // i
-    d = 2
-    while d <= d_max and i * d < run.tau:
-        total -= run.small[i * d]
-        d += 1
-    if d > d_max:
-        return total
-    if grouped:
-        delta = _iroot_round(run.D * run.D * i, 3)
-    else:
-        delta = None
-    while d <= d_max and (delta is None or i * d < delta):
-        v = tail_query(tail, i * d)
-        if v == 0:
-            return total
-        total -= v
-        d += 1
-    while d <= d_max:
-        v = tail_query(tail, i * d)
-        if v == 0:
-            break
-        # the run of equal values ends at the largest d before the count
-        # drops; binary search keeps lo inside the run, hi past it
-        lo, hi = d, d_max + 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if tail_query(tail, i * mid) < v:
-                hi = mid
-            else:
-                lo = mid
-        total -= v * (lo - d + 1)
-        d = hi
-    return total
+    return count_lattice(poly, i) - 1 - sum(S[2 * i :: i])
 
 
-def primitive_count(poly: Polygon, grouped: bool = True, tau: int | None = None) -> int:
+def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     """Primitive lattice points in the closed region of poly.
 
-    Sets the crossover tau near D^(4/7) unless overridden, tabulates the
-    tail once, then fills the dense table from tau-1 down to 1; the final
-    entry is the answer. The origin never counts.
+    Sets the crossover tau near D^(4/7) unless overridden and fills one
+    table S[j] = S(P/j). For j >= tau it counts the tail points whose phi
+    exceeds j (suffix sums of the phi counts), up to the largest phi;
+    below tau the recursion fills it from tau-1 down to 1, and S[1] is the
+    answer. The origin never counts.
+
+    The table is an int64 array read through a memoryview, so a strided
+    sum copies nothing. S(P/j) <= (D+1)^2 fits int64 while D < 3*10^9;
+    past that the table alone would need more than 12 GB, and an entry
+    that overflows raises OverflowError instead of wrapping.
     """
     if not poly.validated:
         poly = validate(poly)
@@ -212,13 +170,16 @@ def primitive_count(poly: Polygon, grouped: bool = True, tau: int | None = None)
         tau = min(D, max(1, _iroot_round(D ** 4, 7)))
     elif not 1 <= tau <= D:
         raise ValueError("tau must be between 1 and the diameter bound")
-    tail = precompute_tail(poly, tau)
-    run = PrimitiveRun(small=[0] * max(tau, 1), D=D, tau=tau)
+    phis = precompute_tail(poly, tau).phis
+    S = array("q", [0]) * ((phis[0] if phis else tau) + 1)
+    for phi in phis:
+        S[phi - 1] += 1
+    for j in range(len(S) - 2, tau - 1, -1):
+        S[j] += S[j + 1]
+    table = memoryview(S)
     for i in range(tau - 1, 0, -1):
-        run.small[i] = dp_term(i, tail, run, poly, grouped)
-    if tau > 1:
-        return run.small[1]
-    return dp_term(1, tail, run, poly, grouped)
+        S[i] = dp_term(i, table, poly)
+    return S[1]
 
 
 def primitive_brute(poly: Polygon) -> int:

@@ -35,6 +35,12 @@ def farey_triangle(n, x):
     return validate(Polygon([(0, 0), (n, 0), (n, n * x)]))
 
 
+def second_tau(poly):
+    # a crossover about twice the default round(D^(4/7)), capped at D
+    D = diameter_bound(poly)
+    return min(D, 2 * round(D ** (4 / 7)))
+
+
 def log_uniform(rng, lo, hi):
     return round(lo * ((hi / lo) ** rng.random()))
 
@@ -195,10 +201,11 @@ def test_7_scaling_exponents():
 
 
 def test_8_large_octagon_and_grouping():
-    """Primitive counting stays fast at diameter 10^5; grouping changes nothing.
+    """Primitive counting stays fast at diameter 10^5; the split changes nothing.
 
-    The grouped and ungrouped summations must agree bit for bit, both on
-    the large octagon and across a seeded sweep of brute-checkable sizes.
+    The default crossover tau and a second one, twice round(D^(4/7)), must
+    agree bit for bit, both on the large octagon and across a seeded sweep
+    of brute-checkable sizes.
     """
     octagon = validate(
         Polygon(
@@ -217,22 +224,22 @@ def test_8_large_octagon_and_grouping():
     assert diameter_bound(octagon) == 100000
 
     start = time.perf_counter()
-    grouped = primitive_count(octagon)
+    count = primitive_count(octagon)
     elapsed = time.perf_counter() - start
-    print(f"octagon D=10^5: {grouped} in {elapsed:.1f}s")
+    print(f"octagon D=10^5: {count} in {elapsed:.1f}s")
     assert elapsed < 120
-    assert grouped == 4298653048
-    assert primitive_count(octagon, grouped=False) == grouped
+    assert count == 4298653048
+    assert primitive_count(octagon, tau=second_tau(octagon)) == count
 
     rng = random.Random(16180)
     for _ in range(30):
         poly = random_star_polygon(log_uniform(rng, 8, 400), rng.randint(3, 9), rng)
-        a = primitive_count(poly, grouped=True)
-        b = primitive_count(poly, grouped=False)
+        a = primitive_count(poly)
+        b = primitive_count(poly, tau=second_tau(poly))
         assert a == b == primitive_brute(poly)
     for _ in range(5):
         poly = random_star_polygon(rng.randint(400, 700), rng.randint(3, 9), rng)
-        assert primitive_count(poly, grouped=True) == primitive_count(poly, grouped=False)
+        assert primitive_count(poly) == primitive_count(poly, tau=second_tau(poly))
 
 
 def test_9_invariant_suites():

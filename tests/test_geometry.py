@@ -254,6 +254,11 @@ class TestCountLattice:
         # the column sums need the counterclockwise loop that validate makes
         assert count_lattice(Polygon(SQUARE2[::-1]), i) == want
 
+    @pytest.mark.parametrize("i", [0, -1])
+    def test_rejects_scale_below_one(self, i):
+        with pytest.raises(ValueError, match="scale factor must be >= 1"):
+            count_lattice(square2(), i)
+
     def test_unvalidated_origin_outside_rejected(self):
         with pytest.raises(PolygonError) as err:
             count_lattice(Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]))

@@ -17,8 +17,6 @@ from fareylattice.geometry import (
 )
 from fareylattice.primitive import (
     BRUTE_LIMIT,
-    ImplicitTail,
-    PrimitiveRun,
     dp_term,
     phi_value,
     precompute_tail,
@@ -203,40 +201,33 @@ class TestTailQuery:
                 assert tail_query(tail, i) == primitive_brute(scale_down(poly, i))
 
 
-class TestDpTerm:
-    def _square_run(self):
-        sq = square2()
-        D = diameter_bound(sq)
-        tail = precompute_tail(sq, 1)
-        run = PrimitiveRun(small=[0, 0], D=D, tau=1)
-        return sq, D, tail, run
+def brute_table(poly):
+    # S[j] = S(P/j) for j = 1..D+1 by direct scans; index 0 unused
+    return [0] + [primitive_brute(scale_down(poly, j)) for j in range(1, diameter_bound(poly) + 2)]
 
+
+class TestDpTerm:
     def test_square_at_two(self):
-        sq, D, tail, run = self._square_run()
-        assert dp_term(2, tail, run, sq) == 8
+        sq = square2()
+        assert dp_term(2, brute_table(sq), sq) == 8
 
     def test_square_at_one(self):
-        sq, D, tail, run = self._square_run()
-        assert dp_term(1, tail, run, sq) == 16
+        sq = square2()
+        assert dp_term(1, brute_table(sq), sq) == 16
 
     def test_past_diameter_is_zero(self):
-        sq, D, tail, run = self._square_run()
-        assert dp_term(D + 1, tail, run, sq) == 0
+        sq = square2()
+        assert dp_term(diameter_bound(sq) + 1, brute_table(sq), sq) == 0
 
-    def test_grouped_matches_ungrouped(self):
+    def test_matches_brute_table(self):
         rng = random.Random(613)
-        for _ in range(8):
-            poly = random_star_polygon(rng.randint(10, 80), rng.randint(3, 8), rng)
-            D = diameter_bound(poly)
-            tau = rng.randint(1, D)
-            tail = precompute_tail(poly, tau)
-            run = PrimitiveRun(small=[0] * max(tau, 1), D=D, tau=tau)
-            for i in range(D, tau - 1, -1):
-                a = dp_term(i, tail, run, poly, grouped=True)
-                b = dp_term(i, tail, run, poly, grouped=False)
-                assert a == b == primitive_brute(scale_down(poly, i))
-                if i < tau:
-                    run.small[i] = a
+        polys = [square2()] + [
+            random_star_polygon(rng.randint(10, 80), rng.randint(3, 8), rng) for _ in range(8)
+        ]
+        for poly in polys:
+            S = brute_table(poly)
+            for i in range(1, len(S)):
+                assert dp_term(i, S, poly) == S[i], i
 
 
 class TestPrimitiveCount:
@@ -279,7 +270,21 @@ class TestPrimitiveCount:
         want = primitive_brute(poly)
         for tau in range(1, diameter_bound(poly) + 1):
             assert primitive_count(poly, tau=tau) == want
-            assert primitive_count(poly, grouped=False, tau=tau) == want
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_every_split_on_degenerate_corpus(self, name):
+        # tau = 1 leaves the whole table to the tail, tau = D can leave it empty
+        poly = validate(Polygon(DEGENERATE[name]))
+        want = primitive_brute(poly)
+        for tau in range(1, diameter_bound(poly) + 1):
+            assert primitive_count(poly, tau=tau) == want, tau
+
+    @settings(max_examples=40, deadline=None)
+    @given(star_loops())
+    def test_every_split_on_star_loops(self, poly):
+        want = primitive_brute(poly)
+        for tau in range(1, diameter_bound(poly) + 1):
+            assert primitive_count(poly, tau=tau) == want, tau
 
     def test_rejects_bad_tau(self):
         sq = square2()
