@@ -9,7 +9,6 @@ running times. Everything is exact integer and rational arithmetic.
 
 from .bench import BenchRecord, fit_exponent, golden_x, run_grid, to_csv
 from .exactmath import (
-    best_approximation_in,
     floor_sum,
     floor_sum_affine,
     format_fraction,

@@ -1,10 +1,10 @@
 """Exact integer and rational building blocks.
 
 Everything in this package reduces to plain integer arithmetic on Python
-ints and fractions.Fraction; no floats are involved in any result. The two
-nontrivial pieces here are the Euclid-like exchange recursion for floor sums
-of rational arithmetic progressions and the Stern-Brocot descent that finds
-the simplest fraction in an interval.
+ints and fractions.Fraction; no floats are involved in any result. The one
+nontrivial piece here is the Euclid-like exchange recursion for floor sums
+of rational arithmetic progressions; the rest is parsing, formatting and
+exact integer roots.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "format_fraction",
     "floor_sum",
     "floor_sum_affine",
-    "best_approximation_in",
 ]
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -97,43 +96,6 @@ def floor_sum_affine(count: int, m: int, a: int, b: int) -> int:
         total -= k * count
         b += k * m
     return total + _floor_sum_ap(count, m, a, b)
-
-
-def best_approximation_in(lo: Fraction, hi: Fraction, qmax: int) -> Fraction:
-    """The unique simplest fraction in (lo, hi] with denominator <= qmax.
-
-    "Simplest" means smallest denominator (ties broken by smallest
-    numerator); the Stern-Brocot descent below finds it in O(lg qmax)
-    arithmetic steps. Raises ValueError when the interval holds no fraction
-    with denominator <= qmax.
-    """
-    if qmax < 1:
-        raise ValueError("qmax must be >= 1")
-    f = _simplest_in(Fraction(lo), Fraction(hi), True, False)
-    if f.denominator > qmax:
-        raise ValueError(f"no fraction with denominator <= {qmax} in ({lo}, {hi}]")
-    return f
-
-
-def _simplest_in(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Fraction:
-    # Simplest fraction between lo and hi, each bound open or closed.
-    # Walks the continued fraction of the bounds: take the shared integer
-    # part, flip to reciprocals, recurse. Each level consumes one partial
-    # quotient, so the depth is the continued-fraction length of the bounds.
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
-        raise ValueError("empty interval")
-    fl = lo.numerator // lo.denominator
-    first = fl if (lo.denominator == 1 and not lo_open) else fl + 1
-    if first < hi or (first == hi and not hi_open):
-        return Fraction(first)
-    a = lo - fl
-    b = hi - fl
-    if a == 0:
-        # lo is an excluded integer: the answer is fl + 1/q for minimal q
-        q = b.denominator // b.numerator + 1 if hi_open else -(-b.denominator // b.numerator)
-        return fl + Fraction(1, q)
-    sub = _simplest_in(1 / b, 1 / a, hi_open, lo_open)
-    return fl + 1 / sub
 
 
 def _iroot(m: int, e: int) -> int:

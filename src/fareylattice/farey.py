@@ -11,6 +11,9 @@ and rank = S_n(x) + 1 puts 0/1 back. Three evaluators share that identity:
 a quadratic reference loop, block recursion over the distinct quotients
 floor(n/d), and a Moebius sieve that fills the dense prefix S_1..S_k before
 C-level sums over the remaining quotients finish the recursion.
+
+The order statistic narrows an exact rank bracket by interpolated probes,
+then walks the next-term recurrence of F_n to the k-th member.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import accumulate, compress, islice, repeat
 from math import gcd, isqrt
 from operator import add, floordiv, mul, neg, sub
 
-from .exactmath import _iroot_round, best_approximation_in, floor_sum
+from .exactmath import _iroot_round, floor_sum
 
 __all__ = [
     "rank_brute",
@@ -33,6 +36,11 @@ __all__ = [
 ]
 
 BRUTE_LIMIT = 10_000
+# Largest n any query accepts. rank_improved's sieve holds about
+# 0.27 * n^(2/3) Python ints: measured on a 2-CPU Xeon with Python 3.11, n =
+# 10^9 takes 1.6 s at 39 MiB peak RSS and n = 10^10 takes 8.1 s at 130 MiB,
+# so by the n^(2/3) growth 10^12 would need about 2.5 GB.
+N_MAX = 10**10
 # Cost per element in ns of the two halves of rank_improved, measured on a
 # 2-CPU Xeon with Python 3.11 for k of 10^4..2*10^5: the dense-prefix sieve
 # takes about SIEVE_NS * k and the quotient sums about BLOCK_NS * n / sqrt(k),
@@ -42,11 +50,19 @@ BLOCK_NS = 560
 # Longest gap between quotients that rank_pawlewicz sums term by term: one
 # floor_sum call costs 20..400 terms, and gaps of 32..256 time the same.
 FLOOR_GAP = 64
+# statistic stops probing once k is this many members from an end of its
+# bracket and walks the rest. On the same machine one walk step costs about
+# 0.24 us and one rank_improved call 4.3 ms at n = 10^5 (18,000 steps) and
+# 16 ms at n = 10^6 (65,000 steps), so from n = 10^5 up the longest walk
+# costs less than one more rank call.
+WALK_MAX = 2**14
 
 
 def _check_query(x: Fraction | int, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > N_MAX:
+        raise ValueError(f"n = {n} is above the limit N_MAX = {N_MAX}")
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
@@ -196,31 +212,74 @@ def totient_sum(n: int) -> int:
     return rank_improved(Fraction(1), n) - 1
 
 
+def _neighbours(x: Fraction, n: int) -> tuple:
+    """(a, b, c, d) with a/b <= x < c/d consecutive in F_n, for x >= 0.
+
+    Batched Stern-Brocot descent: from a/b = floor(x), c/d = floor(x) + 1,
+    each pass takes as many mediant steps toward x on one side as fit under
+    the denominator limit n, so the passes follow the continued fraction of
+    x and number O(lg n). c/d may pass 1/1, as (n + 1)/n does for x = 1.
+    """
+    p, q = x.numerator, x.denominator
+    a, b, c, d = p // q, 1, p // q + 1, 1
+    while True:
+        left, right = p * b - a * q, c * q - p * d  # q*(x - a/b) >= 0, q*(c/d - x) > 0
+        j = min(left // right, (n - b) // d)
+        a, b, left = a + j * c, b + j * d, left - j * right
+        i = min((right - 1) // left if left else n, (n - d) // b)
+        c, d = c + i * a, d + i * b
+        if not (i or j):
+            return a, b, c, d
+
+
+def _walk(a: int, b: int, c: int, d: int, n: int, steps: int) -> tuple:
+    """Move the consecutive pair a/b < c/d of F_n by steps members, back if negative.
+
+    The member after c/d is (t*c - a)/(t*d - b) with t = (n + b) // d, and
+    the one before a/b is (t*a - c)/(t*b - d) with t = (n + d) // b.
+    """
+    for _ in range(steps):
+        t = (n + b) // d
+        a, b, c, d = c, d, t * c - a, t * d - b
+    for _ in range(-steps):
+        t = (n + d) // b
+        a, b, c, d = t * a - c, t * b - d, a, b
+    return a, b, c, d
+
+
 def statistic(k: int, n: int, rank=None) -> Fraction:
     """The k-th member of F_n in increasing order (k = 1 gives 0/1).
 
-    Dyadic bisection keeps the bracket rank(lo) < k <= rank(hi) while
-    halving; once the width drops below 1/n^2 the bracket holds exactly one
-    member, because distinct members of F_n differ by at least 1/n^2, and
-    the simplest fraction in (lo, hi] recovers it. The rank hook lets
-    callers with many queries at one n share a memo; any callable agreeing
-    with rank_improved is sound, and the default is rank_improved itself.
+    Keeps the exact bracket rank(lo) <= k <= rank(hi), lo and hi on the grid
+    of step 1/(4 n^2), and probes where linear interpolation of the rank
+    puts k: F_n has discrepancy at most 1/n (Dress, JTNB 11, 1999), so from
+    [0, 1] the first probe k/|F_n| already lands near the answer. A probe
+    that does not halve the bracket's member count, or rounds onto an end,
+    is followed by a midpoint probe. Once k is within WALK_MAX members of
+    an end, the answer is walked to exactly from that end's Farey
+    neighbours. The rank hook lets callers with many queries at one n share
+    a memo; any callable agreeing with rank_improved is sound, and the
+    default is rank_improved itself.
     """
     if rank is None:
         rank = rank_improved
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_query(0, n)
     size = rank(Fraction(1), n)
     if not 1 <= k <= size:
         raise ValueError(f"k must lie in [1, {size}] for n = {n}")
-    if k == 1:
-        return Fraction(0)
-    lo, hi = Fraction(0), Fraction(1)
-    gap = Fraction(1, n * n)
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        if rank(mid, n) >= k:
-            hi = mid
+    grid = 4 * n * n
+    lo, rlo, hi, rhi = 0, 1, grid, size
+    halved = True
+    while k - rlo > WALK_MAX and rhi - k > WALK_MAX:
+        x = lo + (hi - lo) * (k - rlo) // (rhi - rlo)
+        if not (halved and lo < x < hi):
+            x = (lo + hi) // 2
+        r = rank(Fraction(x, grid), n)
+        halved = 2 * (r - rlo if r >= k else rhi - r) <= rhi - rlo
+        if r >= k:
+            hi, rhi = x, r
         else:
-            lo = mid
-    return best_approximation_in(lo, hi, n)
+            lo, rlo = x, r
+    end, steps = (lo, k - rlo) if k - rlo <= rhi - k else (hi, k - rhi)
+    a, b, _, _ = _walk(*_neighbours(Fraction(end, grid), n), n, steps)
+    return Fraction(a, b)

@@ -12,6 +12,7 @@ from math import gcd
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from fareylattice.farey import rank_improved
 from fareylattice.geometry import Polygon, PolygonError, contains, point_in_scaled, validate
 
 # Degenerate polygons shared by the geometry and primitive suites: the origin
@@ -259,3 +260,66 @@ def simplest_scan(lo, hi, qmax):
         if Fraction(num, q) <= hi:
             return Fraction(num, q)
     return None
+
+
+def best_approximation_in(lo: Fraction, hi: Fraction, qmax: int) -> Fraction:
+    """The unique simplest fraction in (lo, hi] with denominator <= qmax.
+
+    "Simplest" means smallest denominator (ties broken by smallest
+    numerator); the Stern-Brocot descent below finds it in O(lg qmax)
+    arithmetic steps. Raises ValueError when the interval holds no fraction
+    with denominator <= qmax.
+    """
+    if qmax < 1:
+        raise ValueError("qmax must be >= 1")
+    f = _simplest_in(Fraction(lo), Fraction(hi), True, False)
+    if f.denominator > qmax:
+        raise ValueError(f"no fraction with denominator <= {qmax} in ({lo}, {hi}]")
+    return f
+
+
+def _simplest_in(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Fraction:
+    # Simplest fraction between lo and hi, each bound open or closed.
+    # Walks the continued fraction of the bounds: take the shared integer
+    # part, flip to reciprocals, recurse. Each level consumes one partial
+    # quotient, so the depth is the continued-fraction length of the bounds.
+    if lo > hi or (lo == hi and (lo_open or hi_open)):
+        raise ValueError("empty interval")
+    fl = lo.numerator // lo.denominator
+    first = fl if (lo.denominator == 1 and not lo_open) else fl + 1
+    if first < hi or (first == hi and not hi_open):
+        return Fraction(first)
+    a = lo - fl
+    b = hi - fl
+    if a == 0:
+        # lo is an excluded integer: the answer is fl + 1/q for minimal q
+        q = b.denominator // b.numerator + 1 if hi_open else -(-b.denominator // b.numerator)
+        return fl + Fraction(1, q)
+    sub = _simplest_in(1 / b, 1 / a, hi_open, lo_open)
+    return fl + 1 / sub
+
+
+def statistic_bisect(k, n, rank=rank_improved):
+    """The k-th member of F_n by dyadic bisection over rank.
+
+    Halves [0, 1] while keeping rank(lo) < k <= rank(hi); once the width is
+    below 1/n^2 the bracket holds exactly one member, because distinct
+    members of F_n differ by at least 1/n^2, and the simplest fraction in
+    (lo, hi] recovers it. 1 + 2 lg n rank calls per query.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = rank(Fraction(1), n)
+    if not 1 <= k <= size:
+        raise ValueError(f"k must lie in [1, {size}] for n = {n}")
+    if k == 1:
+        return Fraction(0)
+    lo, hi = Fraction(0), Fraction(1)
+    gap = Fraction(1, n * n)
+    while hi - lo >= gap:
+        mid = (lo + hi) / 2
+        if rank(mid, n) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return best_approximation_in(lo, hi, n)

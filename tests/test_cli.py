@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -127,6 +128,23 @@ class TestInputErrors:
     def test_exit_two(self, capsys, argv):
         assert run(argv) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--n", str(10**12), "--x", "1/2"],
+            ["stat", "--n", str(10**12), "--k", "2"],
+            ["totsum", "--n", str(10**12)],
+        ],
+    )
+    def test_refuses_n_above_limit(self, capsys, argv):
+        start = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "N_MAX" in captured.err
+        assert elapsed < 1
 
     def test_missing_poly_file(self, capsys, tmp_path):
         assert run(["lattice", "--poly", str(tmp_path / "nope.poly")]) == 2

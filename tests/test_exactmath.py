@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from fareylattice.exactmath import (
     _iroot,
     _iroot_round,
-    best_approximation_in,
     floor_sum,
     floor_sum_affine,
     format_fraction,
     parse_fraction,
 )
 
-from _oracles import brute_floor_sum, simplest_scan
+from _oracles import best_approximation_in, brute_floor_sum, simplest_scan
 
 
 class TestParseFormat:
@@ -99,7 +98,7 @@ class TestFloorSum:
                 assert floor_sum(n, x) == brute_floor_sum(n, x)
 
     def test_huge_denominator(self):
-        # denominators far beyond n, as the statistic bisection produces
+        # denominators far beyond n, as a bisection over rank produces
         x = Fraction(3 * 10**40 + 7, 9 * 10**40)
         assert floor_sum(100, x) == brute_floor_sum(100, x)
         assert floor_sum(1, Fraction(10**50 - 1, 10**50)) == 0

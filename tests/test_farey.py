@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 
@@ -6,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fareylattice import farey
 from fareylattice.bench import golden_x
 from fareylattice.farey import (
     BRUTE_LIMIT,
+    N_MAX,
+    WALK_MAX,
+    _check_query,
+    _neighbours,
+    _walk,
     improved_cutoff,
     rank_brute,
     rank_improved,
@@ -18,7 +25,7 @@ from fareylattice.farey import (
     totient_sum,
 )
 
-from _oracles import divisor_sieve_prefix, farey_members, totient_sieve
+from _oracles import divisor_sieve_prefix, farey_members, farey_pairs, statistic_bisect, totient_sieve
 
 ALL_TIERS = (rank_brute, rank_pawlewicz, rank_improved)
 
@@ -37,6 +44,14 @@ class TestRankBrute:
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
             rank_brute(Fraction(1, 2), BRUTE_LIMIT + 1)
+
+    def test_n_limit(self):
+        assert _check_query(Fraction(1, 2), N_MAX) == Fraction(1, 2)
+        for rank in ALL_TIERS:
+            with pytest.raises(ValueError, match="N_MAX"):
+                rank(Fraction(1, 2), N_MAX + 1)
+        with pytest.raises(ValueError, match="N_MAX"):
+            statistic(2, N_MAX + 1)
 
     def test_rejects_out_of_range_x(self):
         with pytest.raises(ValueError):
@@ -181,6 +196,74 @@ class TestTotientSum:
             assert rank_improved(Fraction(1), n) == 1 + totient_sum(n)
 
 
+def brute_neighbours(members, x):
+    """The consecutive pair around x in an ascending member list."""
+    i = bisect_right(members, x)
+    return members[i - 1], members[i]
+
+
+def is_neighbour_pair(a, b, c, d, n):
+    """a/b < c/d are consecutive in F_n exactly when bc - ad = 1 and b + d > n."""
+    return 1 <= b <= n and 1 <= d <= n and b * c - a * d == 1 and b + d > n
+
+
+class TestNeighbours:
+    def test_matches_brute_to_25(self):
+        for n in range(1, 26):
+            members = farey_members(n) + [Fraction(n + 1, n)]
+            for den in range(1, 2 * n + 1):
+                for num in range(den + 1):
+                    x = Fraction(num, den)
+                    a, b, c, d = _neighbours(x, n)
+                    assert (Fraction(a, b), Fraction(c, d)) == brute_neighbours(members, x)
+                    assert is_neighbour_pair(a, b, c, d, n)
+
+    def test_zero_and_members(self):
+        for n in (1, 2, 7, 10**6):
+            assert _neighbours(Fraction(0), n) == (0, 1, 1, n)
+            assert _neighbours(Fraction(1), n) == (1, 1, n + 1, n)
+        for a, b in farey_pairs(30):
+            assert _neighbours(Fraction(a, b), 30)[:2] == (a, b)
+
+    def test_twelve_digit_denominators(self):
+        rng = random.Random(1212)
+        members = farey_members(1000)
+        for _ in range(200):
+            den = rng.randrange(10**11, 10**12)
+            x = Fraction(rng.randrange(den + 1), den)
+            a, b, c, d = _neighbours(x, 1000)
+            assert (Fraction(a, b), Fraction(c, d)) == brute_neighbours(members, x)
+            for n in (10**6, 10**9, N_MAX):
+                a, b, c, d = _neighbours(x, n)
+                assert is_neighbour_pair(a, b, c, d, n)
+                assert Fraction(a, b) <= x < Fraction(c, d)
+
+
+class TestWalk:
+    def test_steps_through_every_member(self):
+        for n in (1, 2, 9, 40):
+            pairs = farey_pairs(n)
+            first = _neighbours(Fraction(0), n)
+            for steps, (a, b) in enumerate(pairs):
+                assert _walk(*first, n, steps)[:2] == (a, b)
+            last = _neighbours(Fraction(1), n)
+            for steps, (a, b) in enumerate(reversed(pairs)):
+                assert _walk(*last, n, -steps)[:2] == (a, b)
+
+    def test_forward_then_back_returns(self):
+        # the recurrence runs on past 0/1 and 1/1 into F_n shifted by
+        # integers, so a walk may leave [0, 1] and come back
+        rng = random.Random(77)
+        for n in (1, 3, 50, 10**5, 10**9):
+            starts = [_neighbours(Fraction(0), n), _neighbours(Fraction(1), n)]
+            starts += [_neighbours(Fraction(rng.randrange(10**12 + 1), 10**12), n) for _ in range(5)]
+            for start in starts:
+                for steps in (1, 2, 1000):
+                    assert _walk(*_walk(*start, n, steps), n, -steps) == start
+                    assert _walk(*_walk(*start, n, -steps), n, steps) == start
+                    assert is_neighbour_pair(*_walk(*start, n, steps), n)
+
+
 class TestStatistic:
     def test_first_is_zero(self):
         for n in (1, 5, 100):
@@ -221,3 +304,68 @@ class TestStatistic:
         for k in range(1, len(members) + 1):
             assert statistic(k, n, rank=memo) == members[k - 1]
         assert len(cache) < 6 * len(members)  # the memo actually shares work
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 10**9))
+    def test_matches_bisection(self, n, u):
+        k = 1 + u % rank_improved(Fraction(1), n)
+        assert statistic(k, n) == statistic_bisect(k, n)
+
+    @pytest.mark.parametrize("walk_max", [1, 3, WALK_MAX])
+    def test_every_k_to_60(self, monkeypatch, walk_max):
+        monkeypatch.setattr(farey, "WALK_MAX", walk_max)
+        for n in range(1, 61):
+            cache = {}
+
+            def memo(x, m):
+                if x not in cache:
+                    cache[x] = rank_improved(x, m)
+                return cache[x]
+
+            members = farey_members(n)
+            assert [statistic(k, n, rank=memo) for k in range(1, len(members) + 1)] == members
+
+    @pytest.mark.parametrize("walk_max", [1, WALK_MAX])
+    def test_adversarial_k_round_trip(self, monkeypatch, walk_max):
+        # k next to the members with the widest gaps around them, and next to
+        # the ends; walk_max = 1 drives the interpolation and midpoint probes,
+        # and the midpoint rule keeps the calls within twice bisection's 35
+        # (without it one of these k took 15386 calls)
+        monkeypatch.setattr(farey, "WALK_MAX", walk_max)
+        n = 10**5
+        size = rank_improved(Fraction(1), n)
+        ks = set()
+        for f in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, n), Fraction(n - 1, n)):
+            r = rank_improved(f, n)
+            ks.update(min(max(r + dk, 1), size) for dk in (-1000, -1, 0, 1, 1000))
+        calls = []
+
+        def counting(x, m):
+            calls.append(x)
+            return rank_improved(x, m)
+
+        for k in sorted(ks):
+            calls.clear()
+            got = statistic(k, n, rank=counting)
+            assert got.denominator <= n
+            assert rank_pawlewicz(got, n) == k
+            assert len(calls) <= 2 * (1 + (n * n).bit_length())
+
+    def test_two_rank_calls(self):
+        # one size call and one interpolated probe for each of 50 seeded k:
+        # measured, and the bound the counter enforces
+        n = 10**5
+        size = rank_improved(Fraction(1), n)
+        rng = random.Random(4242)
+        calls = []
+
+        def counting(x, m):
+            calls.append(x)
+            return rank_improved(x, m)
+
+        for _ in range(50):
+            k = rng.randint(1, size)
+            calls.clear()
+            got = statistic(k, n, rank=counting)
+            assert len(calls) <= 2
+            assert rank_pawlewicz(got, n) == k
