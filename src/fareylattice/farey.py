@@ -223,7 +223,7 @@ def _neighbours(x: Fraction, n: int) -> tuple:
     p, q = x.numerator, x.denominator
     a, b, c, d = p // q, 1, p // q + 1, 1
     while True:
-        left, right = p * b - a * q, c * q - p * d  # q*(x - a/b) >= 0, q*(c/d - x) > 0
+        left, right = p * b - a * q, c * q - p * d  # b*q*(x - a/b) >= 0, d*q*(c/d - x) > 0
         j = min(left // right, (n - b) // d)
         a, b, left = a + j * c, b + j * d, left - j * right
         i = min((right - 1) // left if left else n, (n - d) // b)
