@@ -23,7 +23,7 @@ from itertools import accumulate, compress, islice, repeat
 from math import gcd, isqrt
 from operator import add, floordiv, mul, neg, sub
 
-from .exactmath import _iroot_round, floor_sum
+from .exactmath import _floor_sum_ap, _iroot_round
 
 __all__ = [
     "rank_brute",
@@ -153,7 +153,7 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
     for d in range(m, 0, -1):
         v = n // d
         gap = range((t + 1) * p, v * p + 1, p)  # b*p for t < b <= v
-        f = floor_sum(v, x) if len(gap) > FLOOR_GAP else f + sum(map(floordiv, gap, repeat(q)))
+        f = _floor_sum_ap(v + 1, q, p, 0) if len(gap) > FLOOR_GAP else f + sum(map(floordiv, gap, repeat(q)))
         t = v
         big[d] = f - sum(big[2 * d :: d]) - _dense_sum(v, v // (k + 1) + 1, dense)
     return (big[1] if m else dense[n]) + 1
@@ -169,6 +169,7 @@ def _quotient_sums(x: Fraction, n: int, k: int, dense: list) -> int:
     for the e with v // e = w <= r.
     """
     inc = list(map(sub, islice(dense, 1, isqrt(n) + 1), dense))
+    num, den = x.numerator, x.denominator
     m = n // (k + 1)
     big = [0] * (m + 1)
     for d in range(m, 0, -1):
@@ -176,7 +177,7 @@ def _quotient_sums(x: Fraction, n: int, k: int, dense: list) -> int:
         r = isqrt(v)
         q = v // (r + 1)
         big[d] = (
-            floor_sum(v, x)
+            _floor_sum_ap(v + 1, den, num, 0)  # floor_sum(v, x)
             - sum(big[2 * d :: d])
             - sum(map(dense.__getitem__, map(floordiv, repeat(v), range(v // (k + 1) + 1, q + 1))))
             - sum(map(mul, map(floordiv, repeat(v), range(1, r + 1)), inc))

@@ -15,6 +15,7 @@ from math import gcd, isqrt, lcm
 from .exactmath import floor_sum_affine, parse_fraction
 
 __all__ = [
+    "K_MAX",
     "Polygon",
     "PolygonError",
     "parse_polygon",
@@ -28,6 +29,13 @@ __all__ = [
     "count_lattice",
     "convex_hull",
 ]
+
+# Largest accepted vertex count. `fareylattice primitive` on a 10^4-vertex
+# star at D = 10^5, one vertex per angular sector, took 49 s with integer
+# vertices and 82..108 s with 12-digit denominators on a 2-CPU Xeon with
+# Python 3.11: validation is O(k), but primitive_count's tail scan costs
+# O(k) per point and each of its DP terms O(k) floor sums.
+K_MAX = 10**4
 
 
 class PolygonError(ValueError):
@@ -103,6 +111,7 @@ def parse_polygon(text: str) -> Polygon:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        _check_vertex_count(len(vertices) + 1)
         parts = line.split()
         if len(parts) != 2:
             raise PolygonError("bad-vertex-line", f"line {lineno}: need two coordinates, got {len(parts)}")
@@ -132,79 +141,111 @@ def _orient(a, b, c) -> Fraction:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _on_segment(a, b, p) -> bool:
-    # p collinear with segment ab assumed; is it inside the bounding box
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
+def _check_vertex_count(k: int) -> None:
+    if k > K_MAX:
+        raise PolygonError("too-many-vertices", f"more than K_MAX = {K_MAX} vertices")
 
 
-def _segments_touch(p, q, r, s) -> bool:
-    """Do the closed segments pq and rs share at least one point."""
-    d1 = _orient(p, q, r)
-    d2 = _orient(p, q, s)
-    d3 = _orient(r, s, p)
-    d4 = _orient(r, s, q)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(p, q, r):
-        return True
-    if d2 == 0 and _on_segment(p, q, s):
-        return True
-    if d3 == 0 and _on_segment(r, s, p):
-        return True
-    if d4 == 0 and _on_segment(r, s, q):
-        return True
-    return False
+def _area_sign(edges) -> int:
+    # sign of the signed area, the sum of cab / m^2 over the cleared edges.
+    # Each term is rounded down at scale 2^64, so the true scaled sum lies in
+    # [lo, lo + k); only a (near) zero area falls back to exact Fractions.
+    lo = sum((ax * by - ay * bx << 64) // (m * m) for ax, ay, bx, by, m in edges)
+    if lo > 0:
+        return 1
+    if lo + len(edges) <= 0:
+        return -1
+    area2 = sum(Fraction(ax * by - ay * bx, m * m) for ax, ay, bx, by, m in edges)
+    return (area2 > 0) - (area2 < 0)
+
+
+def _ray_crossings(edges, ux: int, uy: int) -> int:
+    """Sunday's signed crossing count of the ray {t*u : t > 0} by the edges.
+
+    In the frame where u points along +x, s(p) = cross(u, p) plays the part
+    of y: an upward crossing (s(a) <= 0 < s(b)) with the origin left of the
+    edge (cab > 0) counts +1 and a downward one with cab < 0 counts -1. Over
+    a closed loop that misses the origin this is the winding number.
+    """
+    w = 0
+    for ax, ay, bx, by, _ in edges:
+        sa = ux * ay - uy * ax
+        sb = ux * by - uy * bx
+        if sa <= 0 < sb:
+            w += ax * by - ay * bx > 0
+        elif sb <= 0 < sa:
+            w -= ax * by - ay * bx < 0
+    return w
 
 
 def validate(poly: Polygon) -> Polygon:
     """Check every polygon invariant; returns the CCW-normalized polygon.
 
-    Violations raise PolygonError with .violation set to one of:
-    too-few-vertices, repeated-vertex, degenerate-area, not-simple,
-    origin-outside, not-star-shaped.
+    One O(k) pass over the integer-cleared edges, for k <= K_MAX vertices.
+    A loop is accepted exactly when it is simple, holds the origin in its
+    closed region and has cross(a, b) >= 0 on every edge a -> b; then the
+    angle about the origin never decreases along the loop, so winding once
+    (or, with the origin on the boundary, never crossing the ray through the
+    next vertex again) leaves no room for a self-intersection.
+
+    Violations raise PolygonError with .violation set to the first of, in
+    this order: too-many-vertices, too-few-vertices, repeated-vertex,
+    degenerate-area, not-simple (adjacent edges fold back, a winding number
+    other than 0 or 1, the origin on the boundary more than once, or the
+    rest of the loop crossing the ray through the vertex after it),
+    origin-outside (winding number 0), not-star-shaped (some edge has
+    cross(a, b) < 0). A loop that breaks several invariants reports the
+    first of them in that order.
     """
-    vs = list(poly.vertices)
-    k = len(vs)
+    k = len(poly.vertices)
+    _check_vertex_count(k)
     if k < 3:
         raise PolygonError("too-few-vertices", f"need at least 3 vertices, got {k}")
-    for i in range(k):
-        if vs[i] == vs[(i + 1) % k]:
+    edges = poly._edges_cleared()
+    for i, (ax, ay, bx, by, _) in enumerate(edges):
+        if ax == bx and ay == by:
             raise PolygonError("repeated-vertex", f"vertices {i} and {(i + 1) % k} coincide")
-    area2 = sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(vs, vs[1:] + vs[:1]))
-    if area2 == 0:
+    sign = _area_sign(edges)
+    if sign == 0:
         raise PolygonError("degenerate-area", "signed area is zero")
-    if area2 < 0:
-        vs.reverse()
-    # simplicity: adjacent edges may share only their common endpoint,
-    # non-adjacent edges may not touch at all
-    edges = [(vs[i], vs[(i + 1) % k]) for i in range(k)]
-    for i in range(k):
-        a1, b1 = edges[i]
-        d1 = (b1[0] - a1[0], b1[1] - a1[1])
-        a2, b2 = edges[(i + 1) % k]
-        d2 = (b2[0] - a2[0], b2[1] - a2[1])
-        if d1[0] * d2[1] - d1[1] * d2[0] == 0 and d1[0] * d2[0] + d1[1] * d2[1] < 0:
-            raise PolygonError("not-simple", f"edges {i} and {(i + 1) % k} fold back")
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            if _segments_touch(*edges[i], *edges[j]):
-                raise PolygonError("not-simple", f"edges {i} and {j} intersect")
-    out = Polygon(vs, validated=True)
-    if not contains(out, (Fraction(0), Fraction(0))):
-        raise PolygonError("origin-outside", "origin is not in the closed region")
+    vs = poly.vertices
+    if sign < 0:
+        vs = vs[::-1]
+        edges = [(bx, by, ax, ay, m) for ax, ay, bx, by, m in edges[-2::-1] + edges[-1:]]
+    ax, ay, bx, by, _ = edges[-1]
+    pdx, pdy = bx - ax, by - ay
+    touches = []
+    for i, (ax, ay, bx, by, _) in enumerate(edges):
+        dx, dy = bx - ax, by - ay
+        if pdx * dy - pdy * dx == 0 and pdx * dx + pdy * dy < 0:
+            raise PolygonError("not-simple", f"edges {(i - 1) % k} and {i} fold back")
+        pdx, pdy = dx, dy
+        # the origin at vertex i, or strictly inside edge i
+        if (ax == ay == 0) or (ax * by == ay * bx and ax * bx + ay * by < 0):
+            touches.append(i)
+    if len(touches) > 1:
+        raise PolygonError("not-simple", "the boundary passes through the origin more than once")
+    if touches:
+        # an edge that ends at the origin never counts, so this counts the
+        # rest of the loop, which starts on the ray through the vertex after
+        # the touch: on a simple loop leaving that ray is its one crossing,
+        # and each further turn about the origin adds another
+        i = touches[0]
+        if _ray_crossings(edges, edges[i][2], edges[i][3]) != 1:
+            raise PolygonError("not-simple", f"the boundary crosses the ray through vertex {(i + 1) % k} again")
+    else:
+        w = _ray_crossings(edges, 1, 0)
+        if w not in (0, 1):
+            raise PolygonError("not-simple", f"the boundary winds {w} times about the origin")
+        if w == 0:
+            raise PolygonError("origin-outside", "origin is not in the closed region")
     # star-shapedness about the origin: for a simple polygon the kernel is
     # the intersection of the inner half-planes of the edges, and the origin
     # lies in the half-plane of edge a->b exactly when cross(a, b) >= 0
-    for a, b in out.edges():
-        if a[0] * b[1] - a[1] * b[0] < 0:
-            raise PolygonError("not-star-shaped", "origin is outside the kernel")
+    if any(ax * by < ay * bx for ax, ay, bx, by, _ in edges):
+        raise PolygonError("not-star-shaped", "origin is outside the kernel")
+    out = Polygon(vs, validated=True)
+    out._int_edges = edges
     return out
 
 
@@ -255,23 +296,30 @@ def scale_down(poly: Polygon, d: int) -> Polygon:
     return Polygon(((x / d, y / d) for x, y in poly.vertices), validated=poly.validated)
 
 
+def _dist_sq(p, q) -> Fraction:
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
 def diameter_bound(poly: Polygon) -> int:
     """Smallest integer >= every pairwise vertex distance, at least 1.
 
-    The farthest pair of points of a closed polygonal region is a vertex
-    pair, so this bounds the whole region. Computed from the exact squared
-    distance with an integer square root, never through floats.
+    The farthest pair of points of a closed polygonal region is a pair of
+    convex hull vertices, so this bounds the whole region. Rotating calipers
+    walk the hull once: for each hull edge a -> b the pointer j advances
+    while the next hull vertex is farther from the edge's line, and the
+    pairs (a, j), (b, j) it stops at include a farthest pair. The exact
+    squared distance goes through an integer square root, never floats.
     """
     if poly._diameter is None:
+        hull = convex_hull(poly.vertices)
+        n = len(hull)
         best = Fraction(0)
-        vs = poly.vertices
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                dx = vs[i][0] - vs[j][0]
-                dy = vs[i][1] - vs[j][1]
-                d2 = dx * dx + dy * dy
-                if d2 > best:
-                    best = d2
+        j = min(1, n - 1)
+        for i in range(n):
+            a, b = hull[i], hull[(i + 1) % n]
+            while _orient(a, b, hull[(j + 1) % n]) > _orient(a, b, hull[j]):
+                j = (j + 1) % n
+            best = max(best, _dist_sq(a, hull[j]), _dist_sq(b, hull[j]))
         num, den = best.numerator, best.denominator
         d = isqrt(num // den)
         while d * d * den < num:

@@ -37,6 +37,77 @@ DEGENERATE = {
 }
 
 
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_segment(a, b, p):
+    # p collinear with segment ab assumed; is it inside the bounding box
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
+def _segments_touch(p, q, r, s):
+    """Do the closed segments pq and rs share at least one point."""
+    d1 = _orient(p, q, r)
+    d2 = _orient(p, q, s)
+    d3 = _orient(r, s, p)
+    d4 = _orient(r, s, q)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
+        return True
+    return (
+        (d1 == 0 and _on_segment(p, q, r))
+        or (d2 == 0 and _on_segment(p, q, s))
+        or (d3 == 0 and _on_segment(r, s, p))
+        or (d4 == 0 and _on_segment(r, s, q))
+    )
+
+
+def validate_pairwise(poly):
+    """The O(k^2) validator: every pair of non-adjacent edges is tested for
+    contact, then the origin by ray casting, then every edge's cross(a, b).
+    Slugs in this order: too-few-vertices, repeated-vertex, degenerate-area,
+    not-simple, origin-outside, not-star-shaped."""
+    vs = list(poly.vertices)
+    k = len(vs)
+    if k < 3:
+        raise PolygonError("too-few-vertices", f"need at least 3 vertices, got {k}")
+    for i in range(k):
+        if vs[i] == vs[(i + 1) % k]:
+            raise PolygonError("repeated-vertex", f"vertices {i} and {(i + 1) % k} coincide")
+    area2 = sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(vs, vs[1:] + vs[:1]))
+    if area2 == 0:
+        raise PolygonError("degenerate-area", "signed area is zero")
+    if area2 < 0:
+        vs.reverse()
+    edges = [(vs[i], vs[(i + 1) % k]) for i in range(k)]
+    for i in range(k):
+        (a1, b1), (a2, b2) = edges[i], edges[(i + 1) % k]
+        d1 = (b1[0] - a1[0], b1[1] - a1[1])
+        d2 = (b2[0] - a2[0], b2[1] - a2[1])
+        if d1[0] * d2[1] - d1[1] * d2[0] == 0 and d1[0] * d2[0] + d1[1] * d2[1] < 0:
+            raise PolygonError("not-simple", f"edges {i} and {(i + 1) % k} fold back")
+    for i in range(k):
+        for j in range(i + 2, k):
+            if not (i == 0 and j == k - 1) and _segments_touch(*edges[i], *edges[j]):
+                raise PolygonError("not-simple", f"edges {i} and {j} intersect")
+    out = Polygon(vs, validated=True)
+    if not contains(out, (Fraction(0), Fraction(0))):
+        raise PolygonError("origin-outside", "origin is not in the closed region")
+    if any(a[0] * b[1] - a[1] * b[0] < 0 for a, b in out.edges()):
+        raise PolygonError("not-star-shaped", "origin is outside the kernel")
+    return out
+
+
+def diameter_pairwise(points):
+    """Smallest integer >= every pairwise distance, at least 1, over all pairs."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    best = max(((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p in pts for q in pts), default=Fraction(0))
+    d = math.isqrt(best.numerator // best.denominator)
+    while d * d * best.denominator < best.numerator:
+        d += 1
+    return max(d, 1)
+
 @st.composite
 def star_loops(draw):
     """Small non-convex loops, one vertex per angular sector."""

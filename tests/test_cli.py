@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from fareylattice import geometry
 from fareylattice.cli import run
 
 SQUARE22 = "-2 -2\n2 -2\n2 2\n-2 2\n"
@@ -145,6 +146,16 @@ class TestInputErrors:
         assert (code, captured.out) == (2, "")
         assert "N_MAX" in captured.err
         assert elapsed < 1
+
+    @pytest.mark.parametrize("command", ["lattice", "primitive"])
+    def test_refuses_vertices_above_limit(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(geometry, "K_MAX", 4)
+        path = tmp_path / "pentagon.poly"
+        path.write_text(SQUARE22 + "0 -3\n")
+        code = run([command, "--poly", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "too-many-vertices" in captured.err and "K_MAX = 4" in captured.err
 
     def test_missing_poly_file(self, capsys, tmp_path):
         assert run(["lattice", "--poly", str(tmp_path / "nope.poly")]) == 2

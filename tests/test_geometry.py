@@ -1,10 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fareylattice import geometry
 from fareylattice.geometry import (
     Polygon,
     PolygonError,
@@ -20,7 +23,16 @@ from fareylattice.geometry import (
 )
 from fareylattice.primitive import random_star_polygon
 
-from _oracles import DEGENERATE, edge_distance_sq, float_contains, lattice_scan, star_loops
+from _oracles import (
+    DEGENERATE,
+    E12,
+    diameter_pairwise,
+    edge_distance_sq,
+    float_contains,
+    lattice_scan,
+    star_loops,
+    validate_pairwise,
+)
 
 SQUARE2 = [(-2, -2), (2, -2), (2, 2), (-2, 2)]
 TRIANGLE = [(0, 0), (4, 0), (4, 2)]
@@ -33,6 +45,99 @@ def square2():
 
 def triangle():
     return validate(Polygon(TRIANGLE))
+
+
+# where the winding-number validator may name a different violation than the
+# pairwise one: a loop that crosses itself and also leaves the origin outside,
+# or has an edge with cross(a, b) < 0, may be reported by that second fault
+RELAXED = {("origin-outside", "not-simple"), ("not-star-shaped", "not-simple")}
+
+
+def outcome(check, vertices):
+    try:
+        return check(Polygon(vertices))
+    except PolygonError as err:
+        return err.violation
+
+
+def check_against_pairwise(vertices):
+    want = outcome(validate_pairwise, vertices)
+    got = outcome(validate, vertices)
+    if isinstance(want, Polygon):
+        assert isinstance(got, Polygon) and got.validated
+        assert got.vertices == want.vertices
+        assert got._edges_cleared() == Polygon(got.vertices)._edges_cleared()
+    else:
+        assert got == want or (got, want) in RELAXED, (vertices, got, want)
+    return got
+
+
+def fuzz_loop(rng):
+    """A loop of 3..8 grid points where the origin shows up at vertices,
+    inside edges (the next vertex is -c times the last) and on radial edges
+    (c times the last). Each vertex is then scaled along its own ray, which
+    keeps those degeneracies, by 1, a shared factor or its own factor, with
+    denominators up to 10^12."""
+    vertices = []
+    for _ in range(rng.randint(3, 8)):
+        roll = rng.random()
+        if roll < 0.15:
+            vertices.append((0, 0))
+        elif roll < 0.35 and vertices and vertices[-1] != (0, 0):
+            c = rng.choice((-2, -1, Fraction(-1, 2), Fraction(1, 2), 2, 3))
+            vertices.append((c * vertices[-1][0], c * vertices[-1][1]))
+        else:
+            vertices.append((rng.randint(-3, 3), rng.randint(-3, 3)))
+    mode = rng.randrange(3)
+    if mode == 0:
+        return vertices
+    shared = Fraction(rng.randint(1, E12), rng.choice((3, E12 - 11)))
+    scales = [shared if mode == 1 else Fraction(rng.randint(1, E12), rng.randint(1, E12)) for _ in vertices]
+    return [(x * s, y * s) for (x, y), s in zip(vertices, scales)]
+
+
+@st.composite
+def twice_wound_loops(draw):
+    """Loops that go round the origin twice, one vertex per sector of 4*pi/k."""
+    k = draw(st.integers(5, 10))
+    den = draw(st.sampled_from((1, 3, E12 - 11)))
+    vertices = []
+    for s in range(k):
+        angle = 4 * math.pi * (s + draw(st.integers(1, 9)) / 10) / k
+        radius = draw(st.integers(2, 10))
+        vertices.append(
+            (Fraction(round(radius * math.cos(angle) * den), den), Fraction(round(radius * math.sin(angle) * den), den))
+        )
+    return vertices
+
+
+@st.composite
+def origin_twice_loops(draw):
+    """A star loop with the origin put on its boundary twice: each touch is
+    a vertex at the origin or an edge p -> -p/2 through it."""
+    vertices = list(draw(star_loops()).vertices)
+    for _ in range(2):
+        at = draw(st.integers(0, len(vertices)))
+        if draw(st.booleans()):
+            vertices.insert(at, (Fraction(0), Fraction(0)))
+        else:
+            p = vertices[at % len(vertices)]
+            vertices.insert(at, (-p[0] / 2, -p[1] / 2))
+    return vertices
+
+
+def rational_star(k, rng, diameter=10**5):
+    """A k-vertex rational star, one vertex per angular sector, at radii in
+    [0.15, 0.5] * diameter and denominators up to 10^12."""
+    vertices = []
+    for s in range(k):
+        angle = 2 * math.pi * (s + 0.1 + 0.8 * rng.random()) / k
+        radius = diameter * (0.15 + 0.35 * rng.random())
+        den = rng.randint(1, E12)
+        vertices.append(
+            (Fraction(round(radius * math.cos(angle) * den), den), Fraction(round(radius * math.sin(angle) * den), den))
+        )
+    return vertices
 
 
 def check_shrunk_counts(poly):
@@ -127,6 +232,61 @@ class TestValidate:
         assert count_lattice(poly) == 25
 
 
+class TestAgainstPairwise:
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_degenerate_corpus(self, name):
+        assert isinstance(check_against_pairwise(DEGENERATE[name]), Polygon)
+
+    @settings(max_examples=60, deadline=None)
+    @given(star_loops())
+    def test_star_loops(self, poly):
+        assert isinstance(check_against_pairwise(poly.vertices), Polygon)
+        assert isinstance(check_against_pairwise(poly.vertices[::-1]), Polygon)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzz(self, seed):
+        rng = random.Random(seed)
+        outcomes = [check_against_pairwise(fuzz_loop(rng)) for _ in range(1000)]
+        # the fuzz reaches every verdict, acceptance included
+        verdicts = {o if isinstance(o, str) else "ok" for o in outcomes}
+        assert verdicts >= {"ok", "not-simple", "origin-outside", "not-star-shaped", "degenerate-area"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(twice_wound_loops())
+    def test_loops_winding_twice(self, vertices):
+        check_against_pairwise(vertices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(origin_twice_loops())
+    def test_loops_touching_the_origin_twice(self, vertices):
+        assert isinstance(check_against_pairwise(vertices), str)
+
+    def test_scale(self):
+        # the pairwise validator would take hours on this loop
+        vertices = rational_star(10**4, random.Random(10))
+        start = time.perf_counter()
+        poly = validate(Polygon(vertices))
+        D = diameter_bound(poly)
+        assert time.perf_counter() - start < 10
+        assert poly.validated and 3 * 10**4 <= D <= 10**5
+
+
+class TestVertexLimit:
+    def test_parse_refuses_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(geometry, "K_MAX", 4)
+        assert len(parse_polygon("-2 -2\n2 -2\n2 2\n-2 2\n").vertices) == 4
+        with pytest.raises(PolygonError) as err:
+            parse_polygon("-2 -2\n2 -2\n2 0\n2 2\n-2 2\n")
+        assert err.value.violation == "too-many-vertices"
+
+    def test_validate_refuses_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(geometry, "K_MAX", 4)
+        assert validate(Polygon(SQUARE2)).validated
+        with pytest.raises(PolygonError) as err:
+            validate(Polygon([(-2, -2), (2, -2), (2, 0), (2, 2), (-2, 2)]))
+        assert err.value.violation == "too-many-vertices"
+
+
 class TestContains:
     def test_known_points(self):
         sq = square2()
@@ -208,6 +368,42 @@ class TestDiameterBound:
         for _ in range(10):
             poly = random_star_polygon(rng.randint(8, 200), rng.randint(3, 8), rng)
             assert 1 <= diameter_bound(poly) <= 2 ** (poly.bits + 2)
+
+
+class TestDiameterAgainstPairwise:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_hulls(self, seed):
+        # small grids put collinear points on the hull and tie several
+        # farthest pairs; the scale up to 10^9 over a 12-digit denominator
+        # keeps the ceiling sensitive to a wrong pair
+        rng = random.Random(seed)
+        for _ in range(150):
+            span = rng.choice((1, 2, 4, 50))
+            scale = Fraction(rng.choice((1, 10**9)), rng.choice((1, 7, E12 - 11)))
+            pts = [(rng.randint(-span, span) * scale, rng.randint(-span, span) * scale) for _ in range(rng.randint(1, 40))]
+            assert diameter_bound(Polygon(pts)) == diameter_pairwise(pts)
+
+    def test_rational_hulls(self):
+        rng = random.Random(77)
+        for _ in range(100):
+            pts = [
+                (Fraction(rng.randint(-E12, E12), rng.randint(1, E12)), Fraction(rng.randint(-E12, E12), rng.randint(1, E12)))
+                for _ in range(rng.randint(2, 30))
+            ]
+            assert diameter_bound(Polygon(pts)) == diameter_pairwise(pts)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_symmetric_ties(self, seed):
+        # the octagon (+-a, +-b), (+-b, +-a) has four farthest pairs; edge
+        # midpoints add collinear hull points and the origin an interior one
+        rng = random.Random(seed)
+        for _ in range(40):
+            a = Fraction(rng.randint(1, E12), rng.randint(1, E12))
+            b = a * Fraction(rng.randint(0, 99), 100)
+            pts = [(sx * u, sy * v) for sx in (1, -1) for sy in (1, -1) for u, v in ((a, b), (b, a))]
+            pts += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(pts, pts[1:])] + [(0, 0)]
+            rng.shuffle(pts)
+            assert diameter_bound(Polygon(pts)) == diameter_pairwise(pts)
 
 
 class TestCountLattice:
