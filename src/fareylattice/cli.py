@@ -154,6 +154,8 @@ def _selftest_primitive(rng: random.Random, scale: str):
             return False, f"all-dense split mismatch on {poly!r}"
         if primitive_count(poly, tau=2) != want:
             return False, f"tau override mismatch on {poly!r}"
+        if primitive_count(poly, tau=1) != want:
+            return False, f"all-tail split mismatch on {poly!r}"
     return True, f"{polys} polygons"
 
 

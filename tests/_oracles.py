@@ -27,6 +27,13 @@ DEGENERATE = {
     "origin-in-slanted-edge": [(-3, -2), (Fraction(9, 2), 3), (-1, 8)],
     "radial-edge-outward": [(-6, -6), (6, -6), (2, 2), (8, 8), (-6, 6)],
     "radial-edge-inward": [(-6, -6), (6, -6), (9, 3), (3, 1), (-6, 6)],
+    # the wedges on both sides of the inward edge reach past its inner end,
+    # once with the edge at x > 0 and once turned by pi to x < 0
+    "radial-edge-inward-wide": [(-6, -6), (6, -6), (9, 3), (3, 1), (9, 9), (-6, 6)],
+    "radial-edge-inward-wide-turned": [(6, 6), (-6, 6), (-9, -3), (-3, -1), (-9, -9), (6, -6)],
+    "vertical-radial-edge-outward": [(-6, -6), (6, -6), (6, 6), (0, 2), (0, 6), (-6, 6)],
+    "vertical-radial-edge-inward": [(-6, -6), (6, -6), (6, 6), (0, 6), (0, 2), (-6, 6)],
+    "origin-in-vertical-edge": [(0, -5), (7, -1), (Fraction(9, 2), 6), (0, 8)],
     "den-1e12": [
         (-5 + Fraction(1, E12), -Fraction(3, E12 - 11)),
         (Fraction(7 * E12 - 1, E12), -4),

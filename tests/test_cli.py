@@ -157,6 +157,17 @@ class TestInputErrors:
         assert (code, captured.out) == (2, "")
         assert "too-many-vertices" in captured.err and "K_MAX = 4" in captured.err
 
+    def test_refuses_diameter_above_limit(self, capsys, tmp_path):
+        path = tmp_path / "huge.poly"
+        path.write_text(SQUARE22.replace("2", "1000000000000"))
+        start = time.perf_counter()
+        code = run(["primitive", "--poly", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "D_MAX" in captured.err
+        assert elapsed < 1
+
     def test_missing_poly_file(self, capsys, tmp_path):
         assert run(["lattice", "--poly", str(tmp_path / "nope.poly")]) == 2
         capsys.readouterr()

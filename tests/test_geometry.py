@@ -476,6 +476,11 @@ class TestConvexHull:
         hull = convex_hull(pts)
         assert hull == [(0, 0), (4, 0), (4, 4), (0, 4)]
 
+    def test_points_closer_than_their_denominators(self):
+        # the top corners differ by about 10^-24 in x, far below 1/E12
+        a, b = Fraction(1, E12), Fraction(1, E12 - 1)
+        assert convex_hull([(b, 1), (0, 0), (1, 0), (a, 1), (a, 1)]) == [(0, 0), (1, 0), (b, 1), (a, 1)]
+
     def test_idempotent(self):
         rng = random.Random(2)
         pts = [(Fraction(rng.randint(-50, 50), rng.randint(1, 4)), Fraction(rng.randint(-50, 50), rng.randint(1, 4))) for _ in range(40)]

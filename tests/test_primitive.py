@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fareylattice.farey import rank_brute
+from fareylattice import primitive
+from fareylattice.bench import golden_x
+from fareylattice.farey import rank_brute, rank_improved
 from fareylattice.geometry import (
     Polygon,
     contains,
@@ -17,6 +20,7 @@ from fareylattice.geometry import (
 )
 from fareylattice.primitive import (
     BRUTE_LIMIT,
+    D_MAX,
     dp_term,
     phi_value,
     precompute_tail,
@@ -48,6 +52,24 @@ def check_phi_on_box(poly):
 
 def square2():
     return validate(Polygon(SQUARE2))
+
+
+# table caps for the every-split tests: the smallest legal cap, which sends
+# nearly every tail point to far, a few more, and the default
+CAPS = {
+    "tau+1": lambda tau, D: tau + 1,
+    "tau+3": lambda tau, D: tau + 3,
+    "default": primitive._table_cap,
+}
+
+
+def check_every_split_and_cap(poly):
+    want = primitive_brute(poly)
+    for name, cap in CAPS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primitive, "_table_cap", cap)
+            for tau in range(1, diameter_bound(poly) + 1):
+                assert primitive_count(poly, tau=tau) == want, (name, tau)
 
 
 def farey_triangle(n, x):
@@ -169,6 +191,27 @@ class TestPrecomputeTail:
         for tau in range(1, diameter_bound(poly) + 2):
             assert precompute_tail(poly, tau).phis == tail_scan(poly, tau), tau
 
+    def test_degenerate_corpus_covers_column_cases(self):
+        # the cases the column scan treats apart: the column x = 0, vertical
+        # wedge edges (mdx = 0), and radial edges (cab = 0) away from and
+        # toward the origin, vertical ones included; an inward radial edge
+        # on each side of x = 0 puts the shared ray at either end of an
+        # interval
+        seen = set()
+        for vertices in DEGENERATE.values():
+            poly = validate(Polygon(vertices))
+            if contains(poly, (0, 1)) or contains(poly, (0, -1)):
+                seen.add("x=0")
+            for ax, ay, bx, by, _ in poly._edges_cleared():
+                if ax * by != ay * bx:
+                    kind = "wedge"
+                elif ax * bx + ay * by > 0:
+                    kind = "outward" if ax * ax + ay * ay < bx * bx + by * by else "inward"
+                else:
+                    kind = "through-origin"
+                seen.add(kind + ("-vertical" if ax == bx else "-left" if ax < 0 else "-right"))
+        assert seen >= {"x=0", "wedge-vertical", "outward-right", "inward-right", "inward-left", "outward-vertical", "inward-vertical"}
+
     @settings(max_examples=40, deadline=None)
     @given(star_loops(), st.integers(1, 30))
     def test_matches_scan_on_star_loops(self, poly, tau):
@@ -218,6 +261,18 @@ class TestDpTerm:
     def test_past_diameter_is_zero(self):
         sq = square2()
         assert dp_term(diameter_bound(sq) + 1, brute_table(sq), sq) == 0
+
+    def test_far_points_past_a_short_table(self):
+        # cut the exact table at every length above i: the tail points past
+        # the cut enter through far, also when the cut is below 2i
+        rng = random.Random(614)
+        for poly in [square2()] + [random_star_polygon(rng.randint(10, 40), rng.randint(3, 8), rng) for _ in range(4)]:
+            S = brute_table(poly)
+            a = [phi - 1 for phi in precompute_tail(poly, 1).phis]
+            for cap in range(1, len(S) + 1):
+                far = [x for x in a if x >= cap]
+                for i in range(1, cap):
+                    assert dp_term(i, S[:cap], poly, far) == S[i], (cap, i)
 
     def test_matches_brute_table(self):
         rng = random.Random(613)
@@ -273,18 +328,40 @@ class TestPrimitiveCount:
 
     @pytest.mark.parametrize("name", DEGENERATE)
     def test_every_split_on_degenerate_corpus(self, name):
-        # tau = 1 leaves the whole table to the tail, tau = D can leave it empty
-        poly = validate(Polygon(DEGENERATE[name]))
-        want = primitive_brute(poly)
-        for tau in range(1, diameter_bound(poly) + 1):
-            assert primitive_count(poly, tau=tau) == want, tau
+        # tau = 1 leaves the whole table to the tail, tau = D can leave it
+        # empty; each under every cap in CAPS
+        check_every_split_and_cap(validate(Polygon(DEGENERATE[name])))
 
     @settings(max_examples=40, deadline=None)
     @given(star_loops())
     def test_every_split_on_star_loops(self, poly):
-        want = primitive_brute(poly)
-        for tau in range(1, diameter_bound(poly) + 1):
-            assert primitive_count(poly, tau=tau) == want, tau
+        check_every_split_and_cap(poly)
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    @pytest.mark.parametrize("x", [Fraction(1), golden_x(), Fraction(618033988749, 999999999989)], ids=["one", "golden", "den-1e12"])
+    def test_large_farey_triangles(self, monkeypatch, n, x):
+        # an independent algorithm at sizes no brute force reaches; the point
+        # (1, 0) has phi = n + 1, past the cap, so far is never empty here
+        caps = []
+        cap = primitive._table_cap
+
+        def record(tau, D):
+            caps.append(cap(tau, D))
+            return caps[-1]
+
+        monkeypatch.setattr(primitive, "_table_cap", record)
+        assert primitive_count(farey_triangle(n, x)) == rank_improved(x, n)
+        assert caps and caps[-1] <= n
+
+    def test_refuses_diameter_above_limit(self):
+        # refused after validation, before the tail box or the table exists
+        big = 10**12
+        poly = validate(Polygon([(-big, -big), (big, -big), (big, big), (-big, big)]))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="D_MAX"):
+            primitive_count(poly)
+        assert time.perf_counter() - start < 1
+        assert diameter_bound(poly) > D_MAX
 
     def test_rejects_bad_tau(self):
         sq = square2()
