@@ -86,8 +86,9 @@ def _algo_list(text: str) -> list:
 def _cmd_bench(ns) -> int:
     sizes = [_int_arg(s, "--sizes entry") for s in ns.sizes.split(",")]
     reps = _int_arg(ns.reps, "--reps")
-    for algo in ns.algo:
-        records = run_grid(algo, sizes, reps)
+    # every grid runs before any is written, so a refused grid leaves stdout empty
+    grids = [run_grid(algo, sizes, reps) for algo in ns.algo]
+    for records in grids:
         sys.stdout.write(to_csv(records))
         if ns.fit:
             print(f"exponent,{fit_exponent(records):.3f}")

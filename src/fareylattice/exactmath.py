@@ -16,7 +16,6 @@ __all__ = [
     "parse_fraction",
     "format_fraction",
     "floor_sum",
-    "floor_sum_affine",
 ]
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -44,16 +43,17 @@ def format_fraction(x: Fraction) -> str:
 
 
 def _floor_sum_ap(n: int, m: int, a: int, b: int) -> int:
-    # sum of floor((a*i + b)/m) for i in [0, n); all arguments nonnegative.
-    # Exchange recursion: strip whole multiples of m out of a and b, then
-    # swap the roles of the two axes, exactly like one Euclid step. The
-    # state shrinks like gcd(a, m), so the loop runs O(lg min(a, m)) times.
+    # sum of floor((a*i + b)/m) for i in [0, n); n >= 0, m > 0, any a and b.
+    # Exchange recursion: strip whole multiples of m out of a and b (floor
+    # division does this exactly for negative values too, leaving both in
+    # [0, m)), then swap the roles of the two axes, exactly like one Euclid
+    # step. The state shrinks like gcd(a, m), so the loop runs O(lg m) times.
     total = 0
     while True:
-        if a >= m:
+        if a >= m or a < 0:
             total += (n - 1) * n // 2 * (a // m)
             a %= m
-        if b >= m:
+        if b >= m or b < 0:
             total += n * (b // m)
             b %= m
         top = a * n + b
@@ -74,28 +74,6 @@ def floor_sum(n: int, x: Fraction | int) -> int:
     if x < 0:
         raise ValueError("x must be >= 0")
     return _floor_sum_ap(n + 1, x.denominator, x.numerator, 0)
-
-
-def floor_sum_affine(count: int, m: int, a: int, b: int) -> int:
-    """Sum of floor((a*i + b)/m) for i in [0, count); a and b may be negative.
-
-    Negative coefficients are lifted into the nonnegative core by adding
-    whole multiples of m and subtracting the matching linear correction.
-    """
-    if m <= 0:
-        raise ValueError("modulus must be positive")
-    if count <= 0:
-        return 0
-    total = 0
-    if a < 0:
-        k = -(a // m)
-        total -= k * (count - 1) * count // 2
-        a += k * m
-    if b < 0:
-        k = -(b // m)
-        total -= k * count
-        b += k * m
-    return total + _floor_sum_ap(count, m, a, b)
 
 
 def _iroot(m: int, e: int) -> int:

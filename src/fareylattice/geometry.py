@@ -12,14 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .exactmath import floor_sum_affine, parse_fraction
+from .exactmath import _floor_sum_ap, parse_fraction
 
 __all__ = [
     "K_MAX",
     "Polygon",
     "PolygonError",
     "parse_polygon",
-    "format_polygon",
     "load_polygon",
     "validate",
     "contains",
@@ -57,26 +56,13 @@ class Polygon:
         self._diameter = None
         self._int_edges = None
 
-    @property
-    def bits(self) -> int:
-        """Largest bit length over all coordinate numerators/denominators."""
-        b = 1
-        for x, y in self.vertices:
-            for c in (x, y):
-                b = max(b, c.numerator.bit_length(), c.denominator.bit_length())
-        return b
-
-    def edges(self):
-        vs = self.vertices
-        for i in range(len(vs)):
-            yield vs[i], vs[(i + 1) % len(vs)]
-
     def _edges_cleared(self):
         # per-edge integer endpoints: (ax, ay, bx, by, scale) with the true
         # edge being (ax/scale, ay/scale) -> (bx/scale, by/scale)
         if self._int_edges is None:
             cleared = []
-            for (ax, ay), (bx, by) in self.edges():
+            vs = self.vertices
+            for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
                 m = lcm(ax.denominator, ay.denominator, bx.denominator, by.denominator)
                 cleared.append(
                     (
@@ -122,12 +108,6 @@ def parse_polygon(text: str) -> Polygon:
     if not vertices:
         raise PolygonError("too-few-vertices", "no vertices in input")
     return Polygon(vertices)
-
-
-def format_polygon(poly: Polygon) -> str:
-    """Inverse of parse_polygon."""
-    lines = [f"{x.numerator}/{x.denominator} {y.numerator}/{y.denominator}" for x, y in poly.vertices]
-    return "\n".join(lines) + "\n"
 
 
 def load_polygon(path) -> Polygon:
@@ -418,10 +398,10 @@ def count_lattice(poly: Polygon, i: int = 1) -> int:
         # floor((dy*c + floor(-cab/s)) / dx), so the scale s drops out
         if dx > 0:
             c0 = -(-ax // s)
-            total -= floor_sum_affine(-(-bx // s) - c0, dx, dy, dy * c0 + -cab // s)
+            total -= _floor_sum_ap(-(-bx // s) - c0, dx, dy, dy * c0 + -cab // s)
         elif dx < 0:
             c0 = -(-bx // s)
-            total += floor_sum_affine(-(-ax // s) - c0, -dx, -dy, cab // s - dy * c0)
+            total += _floor_sum_ap(-(-ax // s) - c0, -dx, -dy, cab // s - dy * c0)
         if dx > 0 or (dx == 0 and dy > 0):
             total += _open_edge_lattice(ax, ay, dx, dy, s, cab)
         if ax % s == 0 and ay % s == 0 and _downright_exterior(pdx, pdy, dx, dy):

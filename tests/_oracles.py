@@ -101,7 +101,7 @@ def validate_pairwise(poly):
     out = Polygon(vs, validated=True)
     if not contains(out, (Fraction(0), Fraction(0))):
         raise PolygonError("origin-outside", "origin is not in the closed region")
-    if any(a[0] * b[1] - a[1] * b[0] < 0 for a, b in out.edges()):
+    if any(a[0] * b[1] - a[1] * b[0] < 0 for a, b in edges):
         raise PolygonError("not-star-shaped", "origin is outside the kernel")
     return out
 

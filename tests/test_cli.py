@@ -235,6 +235,13 @@ class TestBenchCommand:
             assert all(line.startswith(algo + ",") for line in block[1:5])
             assert block[5].startswith("exponent,")
 
+    def test_refused_grid_writes_nothing(self, capsys):
+        # brute refuses n > 10^4 only after the improved grid has run
+        code, out, _ = invoke(
+            capsys, "bench", "--algo", "improved,brute", "--sizes", "10,40,200,20000", "--reps", "3"
+        )
+        assert (code, out) == (2, "")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
