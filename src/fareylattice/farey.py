@@ -7,21 +7,25 @@ the unreduced count sum_{b<=n} floor(b*x) groups by gcd into
 
     S_n(x) = sum_{b<=n} floor(b*x) - sum_{d>=2} S_{floor(n/d)}(x)
 
-and rank = S_n(x) + 1 puts 0/1 back. Three evaluators share that identity:
-a quadratic reference loop, block recursion over the distinct quotients
-floor(n/d), and a Moebius sieve that fills the dense prefix S_1..S_k before
-C-level sums over the remaining quotients finish the recursion.
-
-The order statistic narrows an exact rank bracket by interpolated probes,
-then walks the next-term recurrence of F_n to the k-th member.
+and rank = S_n(x) + 1 puts 0/1 back. A quadratic reference loop and block
+recursion over the distinct quotients floor(n/d) evaluate it as it stands.
+Moebius inversion gives S_n(x) = sum_d mu(d) * F(floor(n/d), x) with
+F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens function
+at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5, 1996), does
+not depend on x: the fast tier builds it once per n in O(n^(2/3)), then
+answers each x in one pass of about sqrt(n) C-level steps and floor sums.
+The order statistic narrows an exact rank bracket by such passes, then
+walks the next-term recurrence of F_n to the k-th member.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat, tee
 from math import gcd, isqrt
-from operator import add, floordiv, mul, neg, sub
+from operator import add, floordiv, mul, sub
 
 from .exactmath import _floor_sum_ap, _iroot_round
 
@@ -36,26 +40,28 @@ __all__ = [
 ]
 
 BRUTE_LIMIT = 10_000
-# Largest n any query accepts. rank_improved's sieve holds about
-# 0.27 * n^(2/3) Python ints: measured on a 2-CPU Xeon with Python 3.11, n =
-# 10^9 takes 1.6 s at 39 MiB peak RSS and n = 10^10 takes 8.1 s at 130 MiB,
-# so by the n^(2/3) growth 10^12 would need about 2.5 GB.
+# Largest n any query accepts. Measured on a 2-CPU Xeon with Python 3.11,
+# rank_improved at n = 10^9 takes 0.6 s at 27 MiB peak RSS and at 10^10
+# 3.2 s at 61 MiB; its Mertens table grows like n^(2/3), to about 1 GB at 10^12.
 N_MAX = 10**10
-# Cost per element in ns of the two halves of rank_improved, measured on a
-# 2-CPU Xeon with Python 3.11 for k of 10^4..2*10^5: the dense-prefix sieve
-# takes about SIEVE_NS * k and the quotient sums about BLOCK_NS * n / sqrt(k),
-# so their sum is least at k = (BLOCK_NS * n / (2 * SIEVE_NS))^(2/3).
-SIEVE_NS = 2000
-BLOCK_NS = 560
+# Cost per element in ns of the two halves of _mertens_table on the same
+# machine (n = 10^6..2.56*10^8, k = 0.7..1.4 * n^(2/3), time flat within 10%):
+# mu and M up to k take SIEVE_NS * k and M at the quotients above k
+# BLOCK_NS * n / sqrt(k), least in sum at k = (BLOCK_NS * n / (2 * SIEVE_NS))^(2/3).
+SIEVE_NS = 180
+BLOCK_NS = 350
+# The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV);
+# measured as above, 16..36 time within 15% of each other, 4 or 144 up to 50% slower.
+PASS_DIV = 25
 # Longest gap between quotients that rank_pawlewicz sums term by term: one
 # floor_sum call costs 20..400 terms, and gaps of 32..256 time the same.
 FLOOR_GAP = 64
 # statistic stops probing once k is this many members from an end of its
-# bracket and walks the rest. On the same machine one walk step costs about
-# 0.24 us and one rank_improved call 4.3 ms at n = 10^5 (18,000 steps) and
-# 16 ms at n = 10^6 (65,000 steps), so from n = 10^5 up the longest walk
-# costs less than one more rank call.
+# bracket and walks the rest. On the same machine a walk step costs 0.25 us
+# and a probe, one x pass, 0.6 ms at n = 10^5 and 2.5 ms at 10^6 (2,300 and
+# 10,000 steps); interpolation leaves 70 steps on average at 10^6.
 WALK_MAX = 2**14
+_NEGATE = bytes(-i % 256 for i in range(256))  # a signed byte to its negation
 
 
 def _check_query(x: Fraction | int, n: int) -> Fraction:
@@ -83,19 +89,19 @@ def rank_brute(x: Fraction | int, n: int) -> int:
     return count
 
 
-def _mobius(k: int) -> list:
-    """mu(i) at index i for 1 <= i <= k, from a prime sieve of slice assignments."""
+def _mobius(k: int) -> memoryview:
+    """mu(0..k) as signed bytes: per prime p, negate the multiples of p, zero those of p^2."""
     r = isqrt(k)
     prime = bytearray(2) + b"\1" * (k - 1)
     for p in range(2, r + 1):
         if prime[p]:
             prime[p * p :: p] = bytes(len(range(p * p, k + 1, p)))
-    mu = [1] * (k + 1)
+    mu = bytearray(b"\0" + b"\1" * k)
     for p in compress(range(k + 1), prime):
-        mu[p::p] = map(neg, mu[p::p])
+        mu[p::p] = mu[p::p].translate(_NEGATE)
         if p <= r:
             mu[p * p :: p * p] = bytes(len(range(p * p, k + 1, p * p)))
-    return mu
+    return memoryview(mu).cast("b")
 
 
 def sieved_prefix(x: Fraction | int, k: int) -> list:
@@ -159,17 +165,23 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
     return (big[1] if m else dense[n]) + 1
 
 
-def _quotient_sums(x: Fraction, n: int, k: int, dense: list) -> int:
-    """S_n(x) from dense[w] = S_w(x) for all w <= k, where k >= isqrt(n).
+def _mertens_table(n: int) -> tuple:
+    """The x-independent part of rank at n: (plus, minus, coef) for _rank_pass.
 
-    S_v for the quotients v = n // d > k goes to big[d], as in rank_pawlewicz,
-    and sum_{e>=2} S_{v//e} splits into three C-level sums: big[d*e] while
-    v // e > k; dense[v // e] at the distinct quotients above r = isqrt(v);
-    and by Abel summation sum_{w<=r} (v//w) (S_w - S_{w-1}) - (v//(r+1)) S_r
-    for the e with v // e = w <= r.
+    In S_n(x) = sum_d mu(d) F(n // d) the squarefree d <= s are kept as
+    n // d + 1 by the sign of mu(d), and the d > s, grouped by w = n // d <=
+    U = n // (s + 1), give sum_{w<=U} floor(w*x) coef[w-1], coef[w-1] =
+    M(n // w) - M(s). M is a prefix sum of mu up to k = improved_cutoff(n);
+    at the quotients v = n // d > k, big[d] = 1 - sum_{e>=2} M(v // e) in
+    three C-level sums: big[d*e] while v // e > k, M(v // e) at the distinct
+    quotients above r = isqrt(v), and by Abel summation
+    sum_{w<=r} mu(w) (v//w) - (v//(r+1)) M(r) for the e with v // e <= r.
     """
-    inc = list(map(sub, islice(dense, 1, isqrt(n) + 1), dense))
-    num, den = x.numerator, x.denominator
+    k = improved_cutoff(n)
+    mu = _mobius(k)
+    # equal values share one int object, so M costs one pointer per entry
+    mertens = list(map({}.setdefault, *tee(accumulate(mu))))
+    plus, minus = (list(compress(range(isqrt(n) + 1), map(sign.__eq__, mu))) for sign in (1, -1))
     m = n // (k + 1)
     big = [0] * (m + 1)
     for d in range(m, 0, -1):
@@ -177,17 +189,32 @@ def _quotient_sums(x: Fraction, n: int, k: int, dense: list) -> int:
         r = isqrt(v)
         q = v // (r + 1)
         big[d] = (
-            _floor_sum_ap(v + 1, den, num, 0)  # floor_sum(v, x)
+            1
             - sum(big[2 * d :: d])
-            - sum(map(dense.__getitem__, map(floordiv, repeat(v), range(v // (k + 1) + 1, q + 1))))
-            - sum(map(mul, map(floordiv, repeat(v), range(1, r + 1)), inc))
-            + q * dense[r]
+            - sum(map(mertens.__getitem__, map(floordiv, repeat(v), range(v // (k + 1) + 1, q + 1))))
+            - sum(map(floordiv, repeat(v), islice(plus, bisect_right(plus, r))))
+            + sum(map(floordiv, repeat(v), islice(minus, bisect_right(minus, r))))
+            + q * mertens[r]
         )
-    return big[1] if m else dense[n]
+    s = isqrt(n // PASS_DIV)
+    small = map(mertens.__getitem__, map(floordiv, repeat(n), range(m + 1, n // (s + 1) + 1)))
+    coef = array("q", map(sub, chain(islice(big, 1, None), small), repeat(mertens[s])))
+    return (*([n // d + 1 for d in islice(ds, bisect_right(ds, s))] for ds in (plus, minus)), coef)
+
+
+def _rank_pass(x: Fraction, table: tuple) -> int:
+    """rank(x, n) from table = _mertens_table(n): about 0.6 s floor sums and one dot product."""
+    plus, minus, coef = table
+    p, q = x.numerator, x.denominator
+    if not p:
+        return 1
+    f = [sum(map(_floor_sum_ap, ds, repeat(q), repeat(p), repeat(0))) for ds in (plus, minus)]
+    floors = map(floordiv, range(p, len(coef) * p + 1, p), repeat(q))  # floor(w*x), w <= U
+    return f[0] - f[1] + sum(map(mul, floors, coef)) + 1
 
 
 def improved_cutoff(n: int) -> int:
-    """The cost-balancing k, about 0.27 * n^(2/3), clamped to [isqrt(n), n]."""
+    """The cost-balancing k, about 0.98 * n^(2/3), clamped to [isqrt(n), n]."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = _iroot_round(n * n * BLOCK_NS**2 // (4 * SIEVE_NS**2), 3)
@@ -195,17 +222,13 @@ def improved_cutoff(n: int) -> int:
 
 
 def rank_improved(x: Fraction | int, n: int) -> int:
-    """Rank with a sieved dense prefix plus block recursion on the rest.
+    """Rank from one Mertens table of n and one x pass over it.
 
-    The prefix of length k = improved_cutoff(n) costs O(k lg k) and the
-    quotients above k cost O(n / sqrt(k)) element operations, all in C-level
-    slice and map passes: O(n^(2/3) lg n) in total for k ~ n^(2/3).
+    The table takes O(k + n / sqrt(k)) = O(n^(2/3)) C-level steps for
+    k = improved_cutoff(n), and the pass O(sqrt(n)).
     """
     x = _check_query(x, n)
-    k = improved_cutoff(n)
-    dense = sieved_prefix(x, k)
-    dense.insert(0, 0)
-    return _quotient_sums(x, n, k, dense) + 1
+    return _rank_pass(x, _mertens_table(n))
 
 
 def totient_sum(n: int) -> int:
@@ -259,12 +282,17 @@ def statistic(k: int, n: int, rank=None) -> Fraction:
     is followed by a midpoint probe. Once k is within WALK_MAX members of
     an end, the answer is walked to exactly from that end's Farey
     neighbours. The rank hook lets callers with many queries at one n share
-    a memo; any callable agreeing with rank_improved is sound, and the
-    default is rank_improved itself.
+    a memo; any callable agreeing with rank_improved is sound. The default
+    builds one Mertens table of n and makes every rank call, the size call
+    included, an x pass over it.
     """
-    if rank is None:
-        rank = rank_improved
     _check_query(0, n)
+    if rank is None:
+        table = _mertens_table(n)
+
+        def rank(x, _):
+            return _rank_pass(x, table)
+
     size = rank(Fraction(1), n)
     if not 1 <= k <= size:
         raise ValueError(f"k must lie in [1, {size}] for n = {n}")

@@ -199,6 +199,25 @@ def totient_sieve(limit):
     return phi
 
 
+def mertens_naive(limit):
+    """M[0..limit], the Mertens function: mu(v) by trial division, then prefix sums."""
+    M = [0]
+    for v in range(1, limit + 1):
+        mu, rest, p = 1, v, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                rest //= p
+                if rest % p == 0:
+                    mu = 0
+                    break
+                mu = -mu
+            p += 1
+        if mu and rest > 1:
+            mu = -mu
+        M.append(M[-1] + mu)
+    return M
+
+
 def lattice_scan(poly):
     """Bounding-box scan of integer points using exact membership."""
     xs = [v[0] for v in poly.vertices]

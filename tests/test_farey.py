@@ -12,8 +12,10 @@ from fareylattice.bench import golden_x
 from fareylattice.farey import (
     BRUTE_LIMIT,
     N_MAX,
+    PASS_DIV,
     WALK_MAX,
     _check_query,
+    _mertens_table,
     _neighbours,
     _walk,
     improved_cutoff,
@@ -25,7 +27,14 @@ from fareylattice.farey import (
     totient_sum,
 )
 
-from _oracles import divisor_sieve_prefix, farey_members, farey_pairs, statistic_bisect, totient_sieve
+from _oracles import (
+    divisor_sieve_prefix,
+    farey_members,
+    farey_pairs,
+    mertens_naive,
+    statistic_bisect,
+    totient_sieve,
+)
 
 ALL_TIERS = (rank_brute, rank_pawlewicz, rank_improved)
 
@@ -175,6 +184,65 @@ class TestImprovedCutoff:
         for n in ns:
             for x in xs:
                 assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
+
+
+class TestMertensTable:
+    M = mertens_naive(PASS_DIV * 42**2)
+
+    def check(self, n):
+        # coef[w - 1] = M(n // w) - M(s) for w <= U, and the d <= s in two
+        # lists by the sign of mu(d), stored as n // d + 1
+        M = self.M
+        plus, minus, coef = _mertens_table(n)
+        s = isqrt(n // PASS_DIV)
+        assert list(coef) == [M[n // w] - M[s] for w in range(1, n // (s + 1) + 1)], n
+        for sign, got in ((1, plus), (-1, minus)):
+            assert got == [n // d + 1 for d in range(1, s + 1) if M[d] - M[d - 1] == sign], n
+
+    def test_every_n_to_2000(self):
+        for n in range(1, 2001):
+            self.check(n)
+
+    def test_where_the_split_and_cutoff_move(self):
+        # s steps at n = PASS_DIV * j^2 (and is 0 below PASS_DIV, where U = n);
+        # the cutoff clamps to n, then to isqrt(n), then to neither
+        ns = [PASS_DIV * j * j + e for j in range(1, 42) for e in (-1, 0, 1)]
+        clamp = {n: (improved_cutoff(n) == n, improved_cutoff(n) == isqrt(n)) for n in range(1, 5001)}
+        ns += [m for n in range(2, 5001) if clamp[n] != clamp[n - 1] for m in (n - 1, n)]
+        assert any(improved_cutoff(n) == n for n in ns) and any(improved_cutoff(n) == isqrt(n) for n in ns)
+        for n in ns:
+            self.check(n)
+
+    def test_rank_matches_pawlewicz_at_the_ends_and_long_denominators(self):
+        rng = random.Random(2024)
+        ns = [1, 2, 3, 24, 25, 26, 99, 1000, 4097] + [rng.randint(10**3, 10**6) for _ in range(8)]
+        for n in ns:
+            xs = [Fraction(0), Fraction(1)]
+            for den in (rng.randrange(10**11, 10**12) for _ in range(3)):
+                xs.append(Fraction(rng.randrange(den + 1), den))
+            for x in xs:
+                assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
+
+    def test_statistic_builds_one_table_per_query(self, monkeypatch):
+        built = []
+
+        def counting(n):
+            built.append(n)
+            return _mertens_table(n)
+
+        monkeypatch.setattr(farey, "_mertens_table", counting)
+        for n, k in ((1, 2), (7, 10), (100, 1), (100, 3045), (10**5, 1234567)):
+            built.clear()
+            assert rank_pawlewicz(statistic(k, n), n) == k
+            assert built == [n]
+
+    def test_statistic_rank_hook_builds_no_table(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(farey, "_mertens_table", refuse)
+        for n, k in ((7, 10), (100, 3045), (10**4, 12345)):
+            assert rank_pawlewicz(statistic(k, n, rank=rank_pawlewicz), n) == k
 
 
 class TestTotientSum:
