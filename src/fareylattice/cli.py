@@ -136,7 +136,7 @@ def _selftest_lattice(rng: random.Random, scale: str):
     polys, dmax = (10, 40) if scale == "small" else (25, 120)
     for _ in range(polys):
         poly = random_star_polygon(rng.randint(8, dmax), rng.randint(3, 9), rng)
-        for i in (1, 2, 3):  # the DP counts shrunk copies P/i
+        for i in (1, 2, 3):  # the primitive count reads shrunk copies P/i
             x0, x1, y0, y1 = _lattice_box(poly, i)
             scan = sum(point_in_scaled(poly, (x, y), i) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
             if count_lattice(poly, i) != scan:

@@ -3,14 +3,17 @@
 Everything in this package reduces to plain integer arithmetic on Python
 ints and fractions.Fraction; no floats are involved in any result. The one
 nontrivial piece here is the Euclid-like exchange recursion for floor sums
-of rational arithmetic progressions; the rest is parsing, formatting and
-exact integer roots.
+of rational arithmetic progressions; the rest is parsing, formatting,
+exact integer roots and the Moebius sieve that the rank and the primitive
+count both invert with.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
+from math import isqrt
 
 __all__ = [
     "parse_fraction",
@@ -19,6 +22,7 @@ __all__ = [
 ]
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_NEGATE = bytes(-i % 256 for i in range(256))  # a signed byte to its negation
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -99,3 +103,18 @@ def _iroot_round(m: int, e: int) -> int:
     """round(m ** (1/e)) for m >= 0, exactly (half rounds up)."""
     r = _iroot(m, e)
     return r + 1 if (1 << e) * m >= (2 * r + 1) ** e else r
+
+
+def _mobius(k: int) -> memoryview:
+    """mu(0..k) as signed bytes: per prime p, negate the multiples of p, zero those of p^2."""
+    r = isqrt(k)
+    prime = bytearray(2) + b"\1" * (k - 1)
+    for p in range(2, r + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, k + 1, p)))
+    mu = bytearray(b"\0" + b"\1" * k)
+    for p in compress(range(k + 1), prime):
+        mu[p::p] = mu[p::p].translate(_NEGATE)
+        if p <= r:
+            mu[p * p :: p * p] = bytes(len(range(p * p, k + 1, p * p)))
+    return memoryview(mu).cast("b")

@@ -27,7 +27,7 @@ from itertools import accumulate, chain, compress, islice, repeat, tee
 from math import gcd, isqrt
 from operator import add, floordiv, mul, sub
 
-from .exactmath import _floor_sum_ap, _iroot_round
+from .exactmath import _floor_sum_ap, _iroot_round, _mobius
 
 __all__ = [
     "rank_brute",
@@ -61,7 +61,6 @@ FLOOR_GAP = 64
 # and a probe, one x pass, 0.6 ms at n = 10^5 and 2.5 ms at 10^6 (2,300 and
 # 10,000 steps); interpolation leaves 70 steps on average at 10^6.
 WALK_MAX = 2**14
-_NEGATE = bytes(-i % 256 for i in range(256))  # a signed byte to its negation
 
 
 def _check_query(x: Fraction | int, n: int) -> Fraction:
@@ -87,21 +86,6 @@ def rank_brute(x: Fraction | int, n: int) -> int:
             if gcd(a, b) == 1:
                 count += 1
     return count
-
-
-def _mobius(k: int) -> memoryview:
-    """mu(0..k) as signed bytes: per prime p, negate the multiples of p, zero those of p^2."""
-    r = isqrt(k)
-    prime = bytearray(2) + b"\1" * (k - 1)
-    for p in range(2, r + 1):
-        if prime[p]:
-            prime[p * p :: p] = bytes(len(range(p * p, k + 1, p)))
-    mu = bytearray(b"\0" + b"\1" * k)
-    for p in compress(range(k + 1), prime):
-        mu[p::p] = mu[p::p].translate(_NEGATE)
-        if p <= r:
-            mu[p * p :: p * p] = bytes(len(range(p * p, k + 1, p * p)))
-    return memoryview(mu).cast("b")
 
 
 def sieved_prefix(x: Fraction | int, k: int) -> list:

@@ -23,17 +23,17 @@ __all__ = [
     "validate",
     "contains",
     "point_in_scaled",
-    "scale_down",
     "diameter_bound",
     "count_lattice",
     "convex_hull",
 ]
 
 # Largest accepted vertex count. `fareylattice primitive` on a 10^4-vertex
-# star at D = 10^5, one vertex per angular sector, took 21 s with integer
-# vertices and 56 s with 12-digit denominators on a 2-CPU Xeon with
+# star at D = 10^5, one vertex per angular sector, took 7-10 s with integer
+# vertices and 17-18 s with 12-digit denominators on a 2-CPU Xeon with
 # Python 3.11: validation is O(k), but primitive_count's tail scan tests
-# every wedge in each column and each of its DP terms makes k floor sums.
+# every wedge in each column and each of its lattice counts makes k floor
+# sums.
 K_MAX = 10**4
 
 
@@ -48,13 +48,14 @@ class PolygonError(ValueError):
 class Polygon:
     """Immutable rational vertex loop with cached derived data."""
 
-    __slots__ = ("vertices", "validated", "_diameter", "_int_edges")
+    __slots__ = ("vertices", "validated", "_diameter", "_int_edges", "_records")
 
     def __init__(self, vertices, validated: bool = False):
         self.vertices = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
         self.validated = validated
         self._diameter = None
         self._int_edges = None
+        self._records = None
 
     def _edges_cleared(self):
         # per-edge integer endpoints: (ax, ay, bx, by, scale) with the true
@@ -264,13 +265,6 @@ def point_in_scaled(poly: Polygon, pt, i: int = 1) -> bool:
     return _contains_cleared(poly, pt[0] * i, pt[1] * i, 1)
 
 
-def scale_down(poly: Polygon, d: int) -> Polygon:
-    """The polygon shrunk by the integer factor d (every coordinate / d)."""
-    if d < 1:
-        raise ValueError("scale factor must be >= 1")
-    return Polygon(((x / d, y / d) for x, y in poly.vertices), validated=poly.validated)
-
-
 def diameter_bound(poly: Polygon) -> int:
     """Smallest integer >= every pairwise vertex distance, at least 1.
 
@@ -325,22 +319,6 @@ def _lattice_box(poly: Polygon, i: int = 1):
     )
 
 
-def _open_edge_lattice(ax, ay, dx, dy, s, cab) -> int:
-    # lattice points strictly inside the edge from (ax, ay)/s along
-    # (dx, dy)/s, for dx > 0 or dx == 0 < dy; they solve dy*x - dx*y = cab/s,
-    # which needs cab/s to be a multiple of g = gcd(dx, dy)
-    g = gcd(dx, dy)
-    if cab % (s * g):
-        return 0
-    if dx == 0:
-        return (ay + dy - 1) // s - ay // s
-    # the solutions' x run through x0 + t*q; count the t with ax < s*x < ax + dx
-    q = dx // g
-    x0 = cab // (s * g) * pow(dy // g, -1, q) % q
-    lo = ax - s * x0
-    return (lo + dx - 1) // (s * q) - lo // (s * q)
-
-
 def _sign_against_downright(dx, dy) -> int:
     # sign of cross(d, e) where e is the down-right probe direction, a hair
     # right of straight down; never parallel to any nonzero d
@@ -365,6 +343,48 @@ def _downright_exterior(adx, ady, bdx, bdy) -> bool:
     return not interior
 
 
+def _edge_records(poly: Polygon):
+    """count_lattice's per-edge data that does not depend on the scale i,
+    built once from the validated loop and cached on it: (sums, lines,
+    corners), for edges a -> b cleared to scale m and read at s = m*i.
+
+    sums: (m, sign, lo, hi, mod, slope, e) per non-vertical edge, whose
+    floor sum of floor((slope*c + floor(e/s)) / mod) over the columns
+    lo <= s*c < hi enters with sign -1 if the edge runs rightward, +1 if
+    leftward. lines: (m, h, start, span, q, inv) per rightward or upward
+    edge whose line dy*x - dx*y = cab/s can have lattice solutions:
+    h = cab/(m*g) with g = gcd(dx, dy) is an integer, and i must divide it.
+    Their x then runs through x0 + t*q, q = dx/g, x0 = (h/i)*inv mod q with
+    inv the inverse of dy/g mod q; a vertical edge counts along y with
+    q = 1, inv = 0. corners: gcd(a) = gcd(ax, ay)/m per integer vertex a
+    whose down-right step exits the region; it counts where i divides it.
+    """
+    if poly._records is None:
+        edges = poly._edges_cleared()
+        sums, lines, corners = [], [], []
+        pax, pay, pbx, pby, _ = edges[-1]
+        pdx, pdy = pbx - pax, pby - pay
+        for ax, ay, bx, by, m in edges:
+            dx, dy = bx - ax, by - ay
+            cab = ax * by - ay * bx
+            if dx:
+                sign = 1 if dx < 0 else -1
+                sums.append((m, sign, min(ax, bx), max(ax, bx), abs(dx), -sign * dy, sign * cab))
+            if dx > 0 or (dx == 0 and dy > 0):
+                g = gcd(dx, dy)
+                h, r = divmod(cab, m * g)
+                if r == 0:
+                    q = dx // g
+                    lines.append((m, h, ax, dx, q, pow(dy // g, -1, q)) if dx else (m, h, ay, dy, 1, 0))
+            if _downright_exterior(pdx, pdy, dx, dy):
+                v, r = divmod(gcd(ax, ay), m)
+                if r == 0:
+                    corners.append(v)
+            pdx, pdy = dx, dy
+        poly._records = sums, lines, corners
+    return poly._records
+
+
 def count_lattice(poly: Polygon, i: int = 1) -> int:
     """Lattice points in the closed region of poly shrunk by i, via one
     floor sum per edge; i*pt in poly is the same test as point_in_scaled.
@@ -379,34 +399,30 @@ def count_lattice(poly: Polygon, i: int = 1) -> int:
     relative interiors of rightward and upward edges (an integer line
     equation per edge) and the integer vertices whose down-right step exits
     the region. Every edge is read at the integer scale s = m*i of its
-    cleared form, so no Fraction is made.
+    cleared form, so no Fraction is made, and everything that does not
+    depend on i comes from the polygon's cached edge records: per scale an
+    edge costs its first column, its column count and one floor sum, plus
+    a divisibility test by i where it or its start vertex can hold lattice
+    points.
     """
     if i < 1:
         raise ValueError("scale factor must be >= 1")
     if not poly.validated:
         poly = validate(poly)
-    edges = poly._edges_cleared()
-    total = 0
-    pax, pay, pbx, pby, _ = edges[-1]
-    pdx, pdy = pbx - pax, pby - pay
-    for ax, ay, bx, by, m in edges:
+    sums, lines, corners = _edge_records(poly)
+    total = sum(v % i == 0 for v in corners)
+    for m, sign, lo, hi, mod, slope, e in sums:
+        # edge_y(c) = (s*dy*c - cab) / (s*dx) = (slope*c + e/s) / mod, and
+        # floor(e/s) may stand for e/s there, so the scale s drops out
         s = m * i
-        dx, dy = bx - ax, by - ay
-        cab = ax * by - ay * bx
-        # edge_y(c) = (s*dy*c - cab) / (s*dx) on the columns c with
-        # min(ax, bx) <= s*c < max(ax, bx); its floor is
-        # floor((dy*c + floor(-cab/s)) / dx), so the scale s drops out
-        if dx > 0:
-            c0 = -(-ax // s)
-            total -= _floor_sum_ap(-(-bx // s) - c0, dx, dy, dy * c0 + -cab // s)
-        elif dx < 0:
-            c0 = -(-bx // s)
-            total += _floor_sum_ap(-(-ax // s) - c0, -dx, -dy, cab // s - dy * c0)
-        if dx > 0 or (dx == 0 and dy > 0):
-            total += _open_edge_lattice(ax, ay, dx, dy, s, cab)
-        if ax % s == 0 and ay % s == 0 and _downright_exterior(pdx, pdy, dx, dy):
-            total += 1
-        pdx, pdy = dx, dy
+        c0 = -(-lo // s)
+        total += sign * _floor_sum_ap(-(-hi // s) - c0, mod, slope, slope * c0 + e // s)
+    for m, h, start, span, q, inv in lines:
+        if h % i == 0:
+            # count the t with start < s*(x0 + t*q) < start + span
+            s = m * i
+            lo = start - s * (h // i * inv % q)
+            total += (lo + span - 1) // (s * q) - lo // (s * q)
     return total
 
 

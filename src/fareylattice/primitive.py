@@ -3,21 +3,26 @@
 A lattice point is primitive when its coordinates are coprime, i.e. it is
 visible from the origin. Writing S(P) for the primitive count of the closed
 region and A(P) for the plain lattice count, grouping the nonzero lattice
-points by the gcd of their coordinates gives
+points by the gcd of their coordinates gives A(P) - 1 = sum_{j>=1} S(P/j),
+where P/j is P shrunk by j and the -1 removes the origin, which belongs to
+no coprimality class. Moebius inversion turns this into
 
-    S(P) = A(P) - 1 - sum_{d >= 2} S(P/d)
+    S(P) = sum_{d >= 1} mu(d) * (A(P/d) - 1).
 
-where P/d is P shrunk by d and the -1 removes the origin, which belongs to
-no coprimality class. The recursion only ever meets shrink factors, so the
-computation is a dynamic program over one flat table S[j] = S(P/j): factors
-at or above a crossover tau shrink the polygon so far that the few surviving
-points are tabulated once, column by column, each with the first shrink
-that pushes it out, and S[j] there is the number of thresholds above j;
-factors below tau are filled by the recursion itself, each term one strided
-sum over the table. The table stops at a cap A near (tau*D^2)^(1/3); the
-handful of points whose threshold passes A enter each term as one list.
-With tau near D^(4/7), the tail, the table and the strided sums all hold
-or read about D^(6/7) entries.
+Shrink factors at or above a crossover tau push the polygon so far that the
+few surviving points are tabulated once, column by column, each with the
+first shrink that pushes it out; S(P/j) for j >= tau is the number of those
+thresholds above j, and these counts fill one flat table S[j] that is zero
+below tau. The sum splits at tau. Below it only the squarefree d count,
+each with one lattice count. At and above it, A(P/d) - 1 is a sum of S(P/N)
+over the multiples N of d, and for N >= tau >= 2 the mu(d) of the divisors
+d >= tau of N sum to minus those of the divisors d < tau, so that half
+folds onto the terms below tau: the term of d becomes
+A(P/d) - 1 - sum_{j>=2, d*j>=tau} S(P/(d*j)), one strided sum over the
+table. The table stops at a cap A near (tau*D^2)^(1/3); the handful of
+points whose threshold passes A enter each term as one list. With tau near
+D^(4/7), the tail, the table and the strided sums all hold or read about
+D^(6/7) entries, and about 0.61*tau lattice counts are made.
 """
 
 from __future__ import annotations
@@ -25,14 +30,14 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import floordiv, neg
 
-from .exactmath import _iroot, _iroot_round
+from .exactmath import _iroot, _iroot_round, _mobius
 from .geometry import (
     Polygon,
     _lattice_box,
@@ -55,9 +60,10 @@ __all__ = [
 ]
 
 BRUTE_LIMIT = 5000
-# Largest accepted diameter bound. The regular octagon at D = 10^8 took 13 s
-# and 321 MiB peak RSS on a 2-CPU Xeon with Python 3.11 (D = 4*10^7: 6.1 s,
-# 155 MiB); time and memory grow about like D^(6/7).
+# Largest accepted diameter bound. `fareylattice primitive` on the regular
+# octagon at D = 10^8 took 5.1-7.0 s and 193 MiB peak RSS on a 2-CPU Xeon
+# with Python 3.11 (D = 4*10^7: 1.9-2.6 s, 97 MiB); time and memory grow
+# about like D^(6/7).
 D_MAX = 10**8
 
 
@@ -185,14 +191,16 @@ def tail_query(tail: ImplicitTail, i: int) -> int:
 
 
 def dp_term(i: int, S, poly: Polygon, far=()) -> int:
-    """S(P/i) = A(P/i) - 1 - sum_{d>=2} S(P/(i*d)).
+    """A(P/i) - 1 - sum_{j>=2} S[i*j], the term of shrink factor i.
 
-    S is any sequence holding S[j] = S(P/j) for i < j < len(S) that
-    supports stride slicing. Past its end, S(P/j) counts the tail points
-    with phi - 1 >= j: far holds phi - 1 for each of them that reaches
-    len(S) > i, and such a point lies in P/j for the multiples j of i in
-    [max(len(S), 2i), phi - 1]. With far empty, S need only run up to its
-    last nonzero entry.
+    S is any sequence holding S[j] for j < len(S) that supports stride
+    slicing. Past its end, S[j] counts the tail points with phi - 1 >= j:
+    far holds phi - 1 for each of them that reaches len(S) > i, and such a
+    point counts for the multiples j of i in [max(len(S), 2i), phi - 1].
+    With S[j] = S(P/j) for every j > i this is S(P/i), by the gcd
+    recursion; with S zero below tau > i and S(P/j) from tau on, it is the
+    Moebius term of i in primitive_count's fold. With far empty, S need
+    only run up to its last nonzero entry.
     """
     lo = (max(len(S), 2 * i) - 1) // i
     return count_lattice(poly, i) - 1 - sum(S[2 * i :: i]) - sum(map(floordiv, far, repeat(i))) + len(far) * lo
@@ -208,17 +216,20 @@ def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     """Primitive lattice points in the closed region of poly.
 
     Sets the crossover tau near D^(4/7) unless overridden and fills one
-    table S[j] = S(P/j) for j below a cap A near (tau*D^2)^(1/3). For
-    tau <= j < A, S[j] counts the tail points whose phi exceeds j (suffix
-    sums); the tail points with phi > A, few and near the origin or on a
-    radial edge, stay in one list far that each DP term reads directly.
-    Below tau the recursion fills S from tau-1 down to 1, and S[1] is the
-    answer. The origin never counts.
+    table S[j] for j below a cap A near (tau*D^2)^(1/3): zero below tau,
+    and for tau <= j < A the number of tail points whose phi exceeds j,
+    which is S(P/j), written as one run per distinct phi. The tail points
+    with phi > A, few and near the origin or on a radial edge, stay in one
+    list far that each term reads directly. The answer is S[1] plus
+    mu(d) * dp_term(d) summed over the squarefree d < tau, the Moebius fold
+    of the module docstring; S[1] is nonzero only at tau = 1, where that
+    sum is empty. The origin never counts.
 
     Memory and time: about D^(6/7) tail points, table entries and strided
-    reads. The table is an int64 array read through a memoryview, so a
-    strided sum copies nothing; S(P/j) <= (D+1)^2 fits int64 for every D
-    up to D_MAX, which is checked before anything is allocated.
+    reads, and about 0.61*tau lattice counts. The table is an int64 array
+    read through a memoryview, so a strided sum copies nothing;
+    S(P/j) <= (D+1)^2 fits int64 for every D up to D_MAX, which is checked
+    before anything is allocated.
     """
     if not poly.validated:
         poly = validate(poly)
@@ -234,17 +245,21 @@ def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     split = bisect_left(phis, -A, key=neg)  # phis[:split] > A
     far = [phi - 1 for phi in phis[:split]]
     S = array("q", [0]) * A
-    for phi in phis[split:]:
-        S[phi - 1] += 1
-    S[tau:] = array("q", accumulate(S[: tau - 1 : -1], initial=split))[:0:-1]
+    # between two distinct phis S[j] is constant; the next run starts where
+    # bisection in the sorted list finds the next smaller phi
+    k, hi = split, A
+    while k < len(phis):
+        phi = phis[k]
+        S[phi:hi] = array("q", [k]) * (hi - phi)
+        k, hi = bisect_right(phis, -phi, k, key=neg), phi
+    S[tau:hi] = array("q", [k]) * (hi - tau)
     table = memoryview(S)
-    for i in range(tau - 1, 0, -1):
-        S[i] = dp_term(i, table, poly, far)
-    return S[1]
+    mu = _mobius(tau - 1)
+    return S[1] + sum(mu[d] * dp_term(d, table, poly, far) for d in compress(range(tau), mu))
 
 
 def primitive_brute(poly: Polygon) -> int:
-    """Direct bounding box scan; the reference the recursion is checked against."""
+    """Direct bounding box scan; the reference primitive_count is checked against."""
     if not poly.validated:
         poly = validate(poly)
     if diameter_bound(poly) > BRUTE_LIMIT:

@@ -115,6 +115,16 @@ def diameter_pairwise(points):
         d += 1
     return max(d, 1)
 
+
+def scale_down(poly: Polygon, d: int) -> Polygon:
+    """The polygon shrunk by the integer factor d, every coordinate / d, as
+    Fractions: the direct form of P/d that count_lattice(P, d),
+    point_in_scaled and the shrink tables are checked against."""
+    if d < 1:
+        raise ValueError("scale factor must be >= 1")
+    return Polygon(((x / d, y / d) for x, y in poly.vertices), validated=poly.validated)
+
+
 @st.composite
 def star_loops(draw):
     """Small non-convex loops, one vertex per angular sector."""

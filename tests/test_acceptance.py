@@ -17,7 +17,6 @@ from fareylattice.geometry import (
     Polygon,
     count_lattice,
     diameter_bound,
-    scale_down,
     validate,
 )
 from fareylattice.primitive import (
@@ -28,7 +27,7 @@ from fareylattice.primitive import (
     tail_query,
 )
 
-from _oracles import farey_members, farey_pairs, gcd_classes, lattice_scan, totient_sieve
+from _oracles import farey_members, farey_pairs, gcd_classes, lattice_scan, scale_down, totient_sieve
 
 
 def farey_triangle(n, x):

@@ -10,12 +10,13 @@ from fareylattice.exactmath import (
     _floor_sum_ap,
     _iroot,
     _iroot_round,
+    _mobius,
     floor_sum,
     format_fraction,
     parse_fraction,
 )
 
-from _oracles import best_approximation_in, brute_floor_sum, simplest_scan
+from _oracles import best_approximation_in, brute_floor_sum, mertens_naive, simplest_scan
 
 
 class TestParseFormat:
@@ -185,6 +186,14 @@ class TestBestApproximation:
                 assert best_approximation_in(lo, hi, qmax) == want
                 checked += 1
         assert checked > 100
+
+
+class TestMobius:
+    @pytest.mark.parametrize("k", [0, 1, 2, 4, 9, 30, 1000])
+    def test_matches_trial_division(self, k):
+        # k = 0 is the empty sieve primitive_count takes at tau = 1
+        M = mertens_naive(k)
+        assert list(_mobius(k)) == [0] + [M[v] - M[v - 1] for v in range(1, k + 1)]
 
 
 class TestIntegerRoots:

@@ -17,7 +17,6 @@ from fareylattice.geometry import (
     diameter_bound,
     parse_polygon,
     point_in_scaled,
-    scale_down,
     validate,
 )
 from fareylattice.primitive import random_star_polygon
@@ -29,6 +28,7 @@ from _oracles import (
     edge_distance_sq,
     float_contains,
     lattice_scan,
+    scale_down,
     star_loops,
     validate_pairwise,
 )
@@ -432,6 +432,27 @@ class TestCountLattice:
         for _ in range(5):
             poly = random_star_polygon(rng.randint(8, 60), rng.randint(3, 7), rng)
             assert count_lattice(scale_down(poly, diameter_bound(poly) + 1)) == 1
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_cached_records_serve_every_scale(self, name):
+        # one polygon's edge records, reused across scales in any order,
+        # count as records built afresh for each call do
+        poly = validate(Polygon(DEGENERATE[name]))
+        scales = list(range(1, diameter_bound(poly) + 3))
+        random.Random(name).shuffle(scales)
+        for i in scales:
+            assert count_lattice(poly, i) == count_lattice(validate(Polygon(DEGENERATE[name])), i), i
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_clockwise_loop_reads_records_of_its_validated_loop(self, name):
+        # the records come from the counterclockwise loop that validate
+        # makes; the raw clockwise input never gets any
+        ccw = validate(Polygon(DEGENERATE[name]))
+        raw = Polygon(ccw.vertices[::-1])
+        for i in range(1, diameter_bound(ccw) + 3):
+            assert count_lattice(raw, i) == count_lattice(ccw, i), i
+        assert raw._records is None
+        assert geometry._edge_records(validate(raw)) == ccw._records
 
     @pytest.mark.parametrize("i,want", [(1, 25), (2, 9)])
     def test_clockwise_unvalidated_square(self, i, want):

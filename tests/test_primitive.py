@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from fareylattice.geometry import (
     contains,
     count_lattice,
     diameter_bound,
-    scale_down,
     validate,
 )
 from fareylattice.primitive import (
@@ -30,7 +29,16 @@ from fareylattice.primitive import (
     tail_query,
 )
 
-from _oracles import DEGENERATE, gcd_classes, nonconvex_star, phi_scan, star_loops, tail_scan
+from _oracles import (
+    DEGENERATE,
+    gcd_classes,
+    mertens_naive,
+    nonconvex_star,
+    phi_scan,
+    scale_down,
+    star_loops,
+    tail_scan,
+)
 
 SQUARE2 = [(-2, -2), (2, -2), (2, 2), (-2, 2)]
 
@@ -283,6 +291,59 @@ class TestDpTerm:
             S = brute_table(poly)
             for i in range(1, len(S)):
                 assert dp_term(i, S, poly) == S[i], i
+
+
+def squarefree(d):
+    return all(d % (p * p) for p in range(2, isqrt(d) + 1))
+
+
+class TestMoebiusFold:
+    @pytest.mark.parametrize("split", ["1", "2", "default", "D"])
+    def test_lattice_counts_at_squarefree_scales_only(self, monkeypatch, split):
+        # A(P/d) once for each squarefree d < tau and at no other scale
+        poly = nonconvex_star(random.Random(4410), 300, 12)
+        D = diameter_bound(poly)
+        want = primitive_brute(poly)
+        scales, taus = [], []
+        count, tail = primitive.count_lattice, primitive.precompute_tail
+
+        def counting(p, i=1):
+            scales.append(i)
+            return count(p, i)
+
+        def recording(p, tau):
+            taus.append(tau)
+            return tail(p, tau)
+
+        monkeypatch.setattr(primitive, "count_lattice", counting)
+        monkeypatch.setattr(primitive, "precompute_tail", recording)
+        tau = {"1": 1, "2": 2, "default": None, "D": D}[split]
+        assert primitive_count(poly, tau=tau) == want
+        if tau is None:
+            tau = taus[0]
+            assert 2 < tau < D
+        assert taus == [tau]
+        assert sorted(scales) == [d for d in range(1, tau) if squarefree(d)]
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_fold_over_the_zeroed_brute_table(self, cap):
+        # S[1] + sum of mu(d) * dp_term(d) over d < tau, with the exact table
+        # zeroed below tau and cut at the cap, is S(P) at every split; the
+        # points whose phi - 1 reaches the cap enter through far
+        rng = random.Random(615)
+        polys = [square2()] + [random_star_polygon(rng.randint(10, 40), rng.randint(3, 8), rng) for _ in range(3)]
+        polys.append(nonconvex_star(rng, 40, 9))
+        for poly in polys:
+            S = brute_table(poly)
+            D = diameter_bound(poly)
+            M = mertens_naive(D)
+            a = [phi - 1 for phi in precompute_tail(poly, 1).phis]
+            for tau in range(1, D + 1):
+                A = CAPS[cap](tau, D)
+                table = ([0] * tau + S[tau:] + [0] * A)[:A]
+                far = [x for x in a if x >= A]
+                fold = table[1] + sum((M[d] - M[d - 1]) * dp_term(d, table, poly, far) for d in range(1, tau))
+                assert fold == S[1], tau
 
 
 class TestPrimitiveCount:
