@@ -14,8 +14,10 @@ F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens function
 at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5, 1996), does
 not depend on x: the fast tier builds it once per n in O(n^(2/3)), then
 answers each x in one pass of about sqrt(n) C-level steps and floor sums.
-The order statistic narrows an exact rank bracket by such passes, then
-walks the next-term recurrence of F_n to the k-th member.
+The order statistic narrows an exact rank bracket by such passes, probing
+at short denominators where a pass is cheaper, then walks the next-term
+recurrence of F_n to the k-th member; it keeps the last n's table, so a
+run of queries at one n builds it once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat, tee
 from math import gcd, isqrt
 from operator import add, floordiv, mul, sub
@@ -57,9 +60,14 @@ PASS_DIV = 25
 # floor_sum call costs 20..400 terms, and gaps of 32..256 time the same.
 FLOOR_GAP = 64
 # statistic stops probing once k is this many members from an end of its
-# bracket and walks the rest. On the same machine a walk step costs 0.25 us
-# and a probe, one x pass, 0.6 ms at n = 10^5 and 2.5 ms at 10^6 (2,300 and
-# 10,000 steps); interpolation leaves 70 steps on average at 10^6.
+# bracket and walks the rest. On the same machine a walk step costs 0.15-0.25
+# us and a probe, one x pass at the short denominators statistic probes at,
+# 0.2-0.3 ms at n = 10^5 and 0.8-1.1 ms at 10^6 (about 1,500 and 5,000
+# steps), against 0.4-0.6 and 1.4-1.9 ms at denominator 4n^2. A probe moves
+# by up to WALK_MAX/64 members to reach a short denominator, and the walk
+# then takes 160 steps on average at 10^6; moving by up to WALK_MAX/4 made
+# the query slower (1.2-1.7 against 0.9-1.2 ms at 10^6, 0.6 against 0.3 ms
+# at 10^5) because the longer walk cost more than the probe saved.
 WALK_MAX = 2**14
 
 
@@ -255,44 +263,84 @@ def _walk(a: int, b: int, c: int, d: int, n: int, steps: int) -> tuple:
     return a, b, c, d
 
 
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The fraction of least denominator in [lo, hi], 0 <= lo <= hi.
+
+    Strips the shared integer part t of both ends and recurses on the
+    reciprocals of what is left, [1/(hi - t), 1/(lo - t)], composing the
+    partial quotients t into a matrix, until an integer lies in the
+    interval; the steps follow the continued fractions of the ends.
+    """
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    a, b, c, d = 1, 0, 0, 1  # the value is (a*y + b) / (c*y + d) for the y still to find
+    t = p // q
+    while t * q < p and (t + 1) * s > r:  # no integer in [p/q, r/s]
+        a, b, c, d = a * t + b, a, c * t + d, c
+        p, q, r, s = s, r - t * s, q, p - t * q
+        t = p // q
+    t += t * q < p
+    return Fraction(a * t + b, c * t + d)
+
+
+@lru_cache(maxsize=1)
+def _statistic_table(n: int) -> tuple:
+    """(_mertens_table(n), |F_n|), kept for the next statistic query at n.
+
+    Shared by every caller, so nothing may mutate it; _rank_pass does not.
+    """
+    table = _mertens_table(n)
+    return table, _rank_pass(Fraction(1), table)
+
+
 def statistic(k: int, n: int, rank=None) -> Fraction:
     """The k-th member of F_n in increasing order (k = 1 gives 0/1).
 
-    Keeps the exact bracket rank(lo) <= k <= rank(hi), lo and hi on the grid
-    of step 1/(4 n^2), and probes where linear interpolation of the rank
-    puts k: F_n has discrepancy at most 1/n (Dress, JTNB 11, 1999), so from
-    [0, 1] the first probe k/|F_n| already lands near the answer. A probe
-    that does not halve the bracket's member count, or rounds onto an end,
-    is followed by a midpoint probe. Once k is within WALK_MAX members of
-    an end, the answer is walked to exactly from that end's Farey
-    neighbours. The rank hook lets callers with many queries at one n share
-    a memo; any callable agreeing with rank_improved is sound. The default
-    builds one Mertens table of n and makes every rank call, the size call
-    included, an x pass over it.
+    Keeps the exact bracket rank(lo) <= k <= rank(hi) and probes where
+    linear interpolation of the rank puts k: F_n has discrepancy at most
+    1/n (Dress, JTNB 11, 1999), so from [0, 1] the first probe k/|F_n|
+    already lands near the answer. The probe is the simplest fraction
+    inside the bracket within WALK_MAX / (64 |F_n|) of that point, which
+    moves its rank by about WALK_MAX / 64 members at most; its short
+    denominator makes the pass cheaper (see WALK_MAX). It is the point
+    itself when that fraction is an end of the bracket. A probe that does
+    not halve the bracket's member count is followed by a midpoint probe.
+    Once k is within WALK_MAX members of an end, the answer is walked to
+    exactly from that end's Farey neighbours.
+
+    By default every rank call, the size call included, is an x pass over
+    one Mertens table of n, kept with |F_n| for the next query at the same
+    n; only the last n's table is kept. A rank hook, any callable agreeing
+    with rank_improved, makes every rank call instead and leaves the kept
+    table alone.
     """
     _check_query(0, n)
     if rank is None:
-        table = _mertens_table(n)
+        table, size = _statistic_table(n)
 
         def rank(x, _):
             return _rank_pass(x, table)
 
-    size = rank(Fraction(1), n)
+    else:
+        size = rank(Fraction(1), n)
     if not 1 <= k <= size:
         raise ValueError(f"k must lie in [1, {size}] for n = {n}")
-    grid = 4 * n * n
-    lo, rlo, hi, rhi = 0, 1, grid, size
+    lo, rlo, hi, rhi = Fraction(0), 1, Fraction(1), size
+    window = Fraction(WALK_MAX, 64 * size)
     halved = True
     while k - rlo > WALK_MAX and rhi - k > WALK_MAX:
-        x = lo + (hi - lo) * (k - rlo) // (rhi - rlo)
-        if not (halved and lo < x < hi):
-            x = (lo + hi) // 2
-        r = rank(Fraction(x, grid), n)
+        if halved:
+            x = lo + (hi - lo) * (k - rlo) / (rhi - rlo)
+            short = _simplest_between(max(lo, x - window), min(hi, x + window))
+            if lo < short < hi:
+                x = short
+        else:
+            x = (lo + hi) / 2
+        r = rank(x, n)
         halved = 2 * (r - rlo if r >= k else rhi - r) <= rhi - rlo
         if r >= k:
             hi, rhi = x, r
         else:
             lo, rlo = x, r
     end, steps = (lo, k - rlo) if k - rlo <= rhi - k else (hi, k - rhi)
-    a, b, _, _ = _walk(*_neighbours(Fraction(end, grid), n), n, steps)
+    a, b, _, _ = _walk(*_neighbours(end, n), n, steps)
     return Fraction(a, b)

@@ -17,6 +17,7 @@ from fareylattice.farey import (
     _check_query,
     _mertens_table,
     _neighbours,
+    _simplest_between,
     _walk,
     improved_cutoff,
     rank_brute,
@@ -37,6 +38,14 @@ from _oracles import (
 )
 
 ALL_TIERS = (rank_brute, rank_pawlewicz, rank_improved)
+
+
+@pytest.fixture
+def fresh_statistic_table():
+    """An empty statistic table cache, so no earlier test's table is seen."""
+    farey._statistic_table.cache_clear()
+    yield
+    farey._statistic_table.cache_clear()
 
 
 class TestRankBrute:
@@ -223,7 +232,9 @@ class TestMertensTable:
             for x in xs:
                 assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
 
-    def test_statistic_builds_one_table_per_query(self, monkeypatch):
+    def test_statistic_builds_one_table_per_n(self, monkeypatch, fresh_statistic_table):
+        # the table of the last n is kept: a repeat n builds nothing, a new n
+        # replaces it, and going back to an older n builds again
         built = []
 
         def counting(n):
@@ -231,18 +242,19 @@ class TestMertensTable:
             return _mertens_table(n)
 
         monkeypatch.setattr(farey, "_mertens_table", counting)
-        for n, k in ((1, 2), (7, 10), (100, 1), (100, 3045), (10**5, 1234567)):
-            built.clear()
+        for n, k in ((100, 1), (100, 3045), (7, 10), (7, 1), (10**5, 1234567), (10**5, 7), (100, 5)):
             assert rank_pawlewicz(statistic(k, n), n) == k
-            assert built == [n]
+        assert built == [100, 7, 10**5, 100]
 
     def test_statistic_rank_hook_builds_no_table(self, monkeypatch):
         def refuse(n):
             raise AssertionError("table built")
 
         monkeypatch.setattr(farey, "_mertens_table", refuse)
+        before = farey._statistic_table.cache_info()
         for n, k in ((7, 10), (100, 3045), (10**4, 12345)):
             assert rank_pawlewicz(statistic(k, n, rank=rank_pawlewicz), n) == k
+        assert farey._statistic_table.cache_info() == before
 
 
 class TestTotientSum:
@@ -419,6 +431,31 @@ class TestStatistic:
             assert rank_pawlewicz(got, n) == k
             assert len(calls) <= 2 * (1 + (n * n).bit_length())
 
+    @pytest.mark.parametrize("walk_max", [3, WALK_MAX])
+    def test_interleaved_n_match_members(self, monkeypatch, fresh_statistic_table, walk_max):
+        # the first k at each n builds its table and the rest read it back;
+        # 97 and 100 come back after another n, so they are built twice.
+        # Every k of the small n, a stride through n = 1000
+        monkeypatch.setattr(farey, "WALK_MAX", walk_max)
+        members = {n: farey_members(n) for n in (97, 100, 1000)}
+        for n in (97, 100, 97, 1000, 100):
+            ks = range(1, len(members[n]) + 1, 1 if n < 1000 else 997)
+            assert [statistic(k, n) for k in ks] == [members[n][k - 1] for k in ks], n
+        for k in (1, 2, len(members[1000]) - 1, len(members[1000])):
+            assert statistic(k, 1000) == members[1000][k - 1]
+
+    def test_out_of_range_same_on_hit_and_miss(self, fresh_statistic_table):
+        size = len(farey_members(100))
+        for k in (0, size + 1, -5):
+            farey._statistic_table.cache_clear()
+            messages = []
+            for _ in range(2):  # a miss, then a hit
+                with pytest.raises(ValueError) as err:
+                    statistic(k, 100)
+                messages.append(str(err.value))
+            assert messages == [f"k must lie in [1, {size}] for n = 100"] * 2
+            assert farey._statistic_table.cache_info()[:2] == (1, 1)  # hits, misses
+
     def test_two_rank_calls(self):
         # one size call and one interpolated probe for each of 50 seeded k:
         # measured, and the bound the counter enforces
@@ -437,3 +474,44 @@ class TestStatistic:
             got = statistic(k, n, rank=counting)
             assert len(calls) <= 2
             assert rank_pawlewicz(got, n) == k
+
+
+class TestSimplestBetween:
+    @staticmethod
+    def brute(a, c):
+        # the least b with ceil(a*b) <= floor(c*b), and that least numerator
+        b = 1
+        while -(-a.numerator * b // a.denominator) > c.numerator * b // c.denominator:
+            b += 1
+        return Fraction(-(-a.numerator * b // a.denominator), b)
+
+    def test_matches_brute_on_random_intervals(self):
+        rng = random.Random(12)
+        for _ in range(3000):
+            a, c = sorted(Fraction(rng.randint(0, q), q) for q in (rng.randint(1, 400), rng.randint(1, 400)))
+            assert _simplest_between(a, c) == self.brute(a, c), (a, c)
+
+    def test_narrow_intervals_with_long_denominators(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            den = rng.randrange(10**5, 10**6)
+            a = Fraction(rng.randrange(den), den)
+            c = a + Fraction(1, rng.randrange(10**3, 10**6))
+            if c <= 1:
+                assert _simplest_between(a, c) == self.brute(a, c), (a, c)
+
+    def test_degenerate_and_integer_ends(self):
+        for a in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 17), Fraction(999, 1000)):
+            assert _simplest_between(a, a) == a
+        assert _simplest_between(Fraction(0), Fraction(1)) == 0
+        assert _simplest_between(Fraction(0), Fraction(1, 5)) == 0
+        assert _simplest_between(Fraction(4, 5), Fraction(1)) == 1
+        assert _simplest_between(Fraction(1, 7), Fraction(1)) == 1
+
+    def test_ends_that_are_the_answer(self):
+        # an end is the answer when nothing simpler lies between
+        assert _simplest_between(Fraction(1, 2), Fraction(3, 5)) == Fraction(1, 2)
+        assert _simplest_between(Fraction(2, 5), Fraction(1, 2)) == Fraction(1, 2)
+        assert _simplest_between(Fraction(1, 3), Fraction(2, 5)) == Fraction(1, 3)
+        assert _simplest_between(Fraction(3, 10), Fraction(1, 3)) == Fraction(1, 3)
+        assert _simplest_between(Fraction(2, 7), Fraction(3, 10)) == Fraction(2, 7)
