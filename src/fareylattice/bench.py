@@ -27,13 +27,11 @@ ALGOS = {
 }
 
 
-def golden_x(depth: int = 44) -> Fraction:
-    """Ratio of consecutive Fibonacci numbers, a hair under the inverse
-    golden ratio; depth is the length of its all-ones continued fraction."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+def golden_x() -> Fraction:
+    """F_45/F_46, a ratio of consecutive Fibonacci numbers a hair under the
+    inverse golden ratio; its 44 partial quotients are 1 but the last, 2."""
     a, b = 1, 1
-    for _ in range(depth):
+    for _ in range(44):
         a, b = b, a + b
     return Fraction(a, b)
 
@@ -56,7 +54,7 @@ class BenchRecord:
             raise ValueError("median time must be positive")
 
 
-def run_grid(algo: str, sizes, reps: int, x: Fraction | None = None) -> list:
+def run_grid(algo: str, sizes, reps: int) -> list:
     """Time one algorithm across an ascending grid of n.
 
     The grid must hold at least 4 sizes spanning at least two decades so a
@@ -75,9 +73,7 @@ def run_grid(algo: str, sizes, reps: int, x: Fraction | None = None) -> list:
         raise ValueError("sizes must span at least two decades")
     if reps < 3:
         raise ValueError("need at least 3 repetitions")
-    fn = ALGOS[algo]
-    if x is None:
-        x = golden_x()
+    fn, x = ALGOS[algo], golden_x()
     for n in sizes:
         fn(x, n)  # warm-up, discarded
     times = [[] for _ in sizes]

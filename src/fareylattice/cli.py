@@ -32,10 +32,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_arg(text: str, name: str, minimum: int = 1) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise ValueError(f"{name} must be a decimal integer, got {text!r}") from None
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
+    value = int(text)
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value

@@ -21,15 +21,15 @@ __all__ = [
     "floor_sum",
 ]
 
-_FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _NEGATE = bytes(-i % 256 for i in range(256))  # a signed byte to its negation
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse ``P/Q`` or ``P`` (meaning P/1) into a normalized Fraction.
 
-    Strict on purpose: no decimals, no exponents, no whitespace, and the
-    denominator must be a positive integer literal.
+    Strict on purpose: ASCII digits only, no decimals, no exponents, no
+    whitespace, and the denominator must be a positive integer literal.
     """
     if not _FRACTION_RE.fullmatch(text):
         raise ValueError(f"not a fraction: {text!r}")

@@ -292,7 +292,7 @@ def _statistic_table(n: int) -> tuple:
     return table, _rank_pass(Fraction(1), table)
 
 
-def statistic(k: int, n: int, rank=None) -> Fraction:
+def statistic(k: int, n: int) -> Fraction:
     """The k-th member of F_n in increasing order (k = 1 gives 0/1).
 
     Keeps the exact bracket rank(lo) <= k <= rank(hi) and probes where
@@ -307,21 +307,12 @@ def statistic(k: int, n: int, rank=None) -> Fraction:
     Once k is within WALK_MAX members of an end, the answer is walked to
     exactly from that end's Farey neighbours.
 
-    By default every rank call, the size call included, is an x pass over
-    one Mertens table of n, kept with |F_n| for the next query at the same
-    n; only the last n's table is kept. A rank hook, any callable agreeing
-    with rank_improved, makes every rank call instead and leaves the kept
-    table alone.
+    Every rank call, the size call included, is an x pass over one Mertens
+    table of n, kept with |F_n| for the next query at the same n; only the
+    last n's table is kept.
     """
     _check_query(0, n)
-    if rank is None:
-        table, size = _statistic_table(n)
-
-        def rank(x, _):
-            return _rank_pass(x, table)
-
-    else:
-        size = rank(Fraction(1), n)
+    table, size = _statistic_table(n)
     if not 1 <= k <= size:
         raise ValueError(f"k must lie in [1, {size}] for n = {n}")
     lo, rlo, hi, rhi = Fraction(0), 1, Fraction(1), size
@@ -335,7 +326,7 @@ def statistic(k: int, n: int, rank=None) -> Fraction:
                 x = short
         else:
             x = (lo + hi) / 2
-        r = rank(x, n)
+        r = _rank_pass(x, table)
         halved = 2 * (r - rlo if r >= k else rhi - r) <= rhi - rlo
         if r >= k:
             hi, rhi = x, r

@@ -7,28 +7,21 @@ from fareylattice.bench import ALGOS, BenchRecord, fit_exponent, golden_x, run_g
 
 
 class TestGoldenX:
-    def test_first_convergents(self):
-        assert golden_x(1) == Fraction(1, 2)
-        assert golden_x(2) == Fraction(2, 3)
-        assert golden_x(3) == Fraction(3, 5)
-
     def test_default_is_deep_and_below_one(self):
         x = golden_x()
         assert 0 < x < 1
         assert abs(float(x) - (math.sqrt(5) - 1) / 2) < 1e-12
 
     def test_continued_fraction_is_all_ones(self):
-        x = golden_x(20)
+        x = golden_x()
         quotients = []
         while x:
             inv = 1 / x
             quotients.append(inv.numerator // inv.denominator)
             x = inv - quotients[-1]
+        assert len(quotients) == 44
         assert all(q == 1 for q in quotients[:-1])
-
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            golden_x(0)
+        assert quotients[-1] == 2
 
 
 class TestBenchRecord:
@@ -59,10 +52,6 @@ class TestRunGrid:
         assert [r.n for r in records] == sizes
         assert all(r.algo == "improved" and r.reps == 3 for r in records)
         assert all(r.median_ns > 0 for r in records)
-
-    def test_explicit_x(self):
-        records = run_grid("brute", [10, 40, 200, 1000], reps=3, x=Fraction(1, 2))
-        assert len(records) == 4
 
     @pytest.mark.parametrize(
         "algo,sizes,reps",

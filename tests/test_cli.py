@@ -124,6 +124,14 @@ class TestInputErrors:
             ["bench", "--algo", "brute", "--sizes", "10,40,200", "--reps", "3"],
             ["bench", "--algo", "brute", "--sizes", "10,40,200,1000", "--reps", "2"],
             ["bench", "--algo", "brute", "--sizes", "10,40,xx,1000", "--reps", "3"],
+            ["rank", "--n", "５", "--x", "１/２"],
+            ["rank", "--n", "5", "--x", "１/２"],
+            ["rank", "--n", "1_000", "--x", "1/2"],
+            ["rank", "--n", " 5", "--x", "1/2"],
+            ["rank", "--n", "+5", "--x", "1/2"],
+            ["stat", "--n", "٥", "--k", "2"],
+            ["totsum", "--n", "5 "],
+            ["bench", "--algo", "brute", "--sizes", "10,40,200,1_000", "--reps", "3"],
         ],
     )
     def test_exit_two(self, capsys, argv):

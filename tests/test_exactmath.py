@@ -40,7 +40,10 @@ class TestParseFormat:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "0.5", "1e3", "1/0", "1/-2", " 1/2", "1/2 ", "1 / 2", "a/b", "1//2", "/2", "1/", "nan", "½"],
+        [
+            *("", "0.5", "1e3", "1/0", "1/-2", " 1/2", "1/2 ", "1 / 2", "a/b", "1//2", "/2", "1/", "nan", "½"),
+            *("１/２", "1/２", "١/2", "1_0/2", "1/0_2"),  # non-ASCII digits, underscores
+        ],
     )
     def test_invalid(self, text):
         with pytest.raises(ValueError):

@@ -48,6 +48,20 @@ def fresh_statistic_table():
     farey._statistic_table.cache_clear()
 
 
+@pytest.fixture
+def rank_passes(monkeypatch):
+    """The x of every _rank_pass call, the size pass of a table build included."""
+    calls = []
+    rank_pass = farey._rank_pass
+
+    def counting(x, table):
+        calls.append(x)
+        return rank_pass(x, table)
+
+    monkeypatch.setattr(farey, "_rank_pass", counting)
+    return calls
+
+
 class TestRankBrute:
     def test_zero_is_always_first(self):
         for n in (1, 2, 17):
@@ -246,16 +260,6 @@ class TestMertensTable:
             assert rank_pawlewicz(statistic(k, n), n) == k
         assert built == [100, 7, 10**5, 100]
 
-    def test_statistic_rank_hook_builds_no_table(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError("table built")
-
-        monkeypatch.setattr(farey, "_mertens_table", refuse)
-        before = farey._statistic_table.cache_info()
-        for n, k in ((7, 10), (100, 3045), (10**4, 12345)):
-            assert rank_pawlewicz(statistic(k, n, rank=rank_pawlewicz), n) == k
-        assert farey._statistic_table.cache_info() == before
-
 
 class TestTotientSum:
     def test_small_values(self):
@@ -370,21 +374,6 @@ class TestStatistic:
                 assert rank_improved(f, n) == k
                 assert statistic(k, n) == f
 
-    def test_rank_hook_is_equivalent(self):
-        n = 50
-        cache = {}
-
-        def memo(x, m):
-            key = (x, m)
-            if key not in cache:
-                cache[key] = rank_improved(x, m)
-            return cache[key]
-
-        members = farey_members(n)
-        for k in range(1, len(members) + 1):
-            assert statistic(k, n, rank=memo) == members[k - 1]
-        assert len(cache) < 6 * len(members)  # the memo actually shares work
-
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 300), st.integers(0, 10**9))
     def test_matches_bisection(self, n, u):
@@ -395,22 +384,16 @@ class TestStatistic:
     def test_every_k_to_60(self, monkeypatch, walk_max):
         monkeypatch.setattr(farey, "WALK_MAX", walk_max)
         for n in range(1, 61):
-            cache = {}
-
-            def memo(x, m):
-                if x not in cache:
-                    cache[x] = rank_improved(x, m)
-                return cache[x]
-
             members = farey_members(n)
-            assert [statistic(k, n, rank=memo) for k in range(1, len(members) + 1)] == members
+            assert [statistic(k, n) for k in range(1, len(members) + 1)] == members
 
     @pytest.mark.parametrize("walk_max", [1, WALK_MAX])
-    def test_adversarial_k_round_trip(self, monkeypatch, walk_max):
+    def test_adversarial_k_round_trip(self, monkeypatch, rank_passes, walk_max):
         # k next to the members with the widest gaps around them, and next to
         # the ends; walk_max = 1 drives the interpolation and midpoint probes,
-        # and the midpoint rule keeps the calls within twice bisection's 35
-        # (without it one of these k took 15386 calls)
+        # and the midpoint rule keeps the probes under twice bisection's 35
+        # (without it one of these k took 15386 calls). With the table of n
+        # built, every pass is a probe
         monkeypatch.setattr(farey, "WALK_MAX", walk_max)
         n = 10**5
         size = rank_improved(Fraction(1), n)
@@ -418,18 +401,13 @@ class TestStatistic:
         for f in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, n), Fraction(n - 1, n)):
             r = rank_improved(f, n)
             ks.update(min(max(r + dk, 1), size) for dk in (-1000, -1, 0, 1, 1000))
-        calls = []
-
-        def counting(x, m):
-            calls.append(x)
-            return rank_improved(x, m)
-
+        statistic(1, n)
         for k in sorted(ks):
-            calls.clear()
-            got = statistic(k, n, rank=counting)
+            rank_passes.clear()
+            got = statistic(k, n)
             assert got.denominator <= n
             assert rank_pawlewicz(got, n) == k
-            assert len(calls) <= 2 * (1 + (n * n).bit_length())
+            assert len(rank_passes) <= 2 * (1 + (n * n).bit_length()) - 1
 
     @pytest.mark.parametrize("walk_max", [3, WALK_MAX])
     def test_interleaved_n_match_members(self, monkeypatch, fresh_statistic_table, walk_max):
@@ -456,23 +434,19 @@ class TestStatistic:
             assert messages == [f"k must lie in [1, {size}] for n = 100"] * 2
             assert farey._statistic_table.cache_info()[:2] == (1, 1)  # hits, misses
 
-    def test_two_rank_calls(self):
-        # one size call and one interpolated probe for each of 50 seeded k:
+    def test_two_rank_calls(self, rank_passes):
+        # the size call, kept with the table, and one interpolated probe for
+        # each of 50 seeded k: once the table is built, one pass per query,
         # measured, and the bound the counter enforces
         n = 10**5
         size = rank_improved(Fraction(1), n)
+        statistic(1, n)
         rng = random.Random(4242)
-        calls = []
-
-        def counting(x, m):
-            calls.append(x)
-            return rank_improved(x, m)
-
         for _ in range(50):
             k = rng.randint(1, size)
-            calls.clear()
-            got = statistic(k, n, rank=counting)
-            assert len(calls) <= 2
+            rank_passes.clear()
+            got = statistic(k, n)
+            assert len(rank_passes) <= 1
             assert rank_pawlewicz(got, n) == k
 
 

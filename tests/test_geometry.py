@@ -167,6 +167,7 @@ class TestParse:
             ("0.5 1\n2 2\n3 3\n", "bad-coordinate"),
             ("1/0 1\n2 2\n3 3\n", "bad-coordinate"),
             ("nan 1\n2 2\n3 3\n", "bad-coordinate"),
+            ("２ 1\n2 2\n3 3\n", "bad-coordinate"),  # a full-width digit
             ("", "too-few-vertices"),
             ("# only comments\n", "too-few-vertices"),
         ],
