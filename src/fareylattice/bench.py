@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .farey import rank_brute, rank_improved, rank_pawlewicz
 
-__all__ = ["BenchRecord", "golden_x", "run_grid", "fit_exponent", "to_csv", "ALGOS"]
+__all__ = ["golden_x", "run_grid", "fit_exponent", "to_csv", "ALGOS"]
 
 ALGOS = {
     "improved": rank_improved,
@@ -36,31 +35,13 @@ def golden_x() -> Fraction:
     return Fraction(a, b)
 
 
-@dataclass
-class BenchRecord:
-    """One timed grid point."""
-
-    algo: str
-    n: int
-    reps: int
-    median_ns: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.reps < 3:
-            raise ValueError("need at least 3 repetitions")
-        if self.median_ns <= 0:
-            raise ValueError("median time must be positive")
-
-
 def run_grid(algo: str, sizes, reps: int) -> list:
     """Time one algorithm across an ascending grid of n.
 
     The grid must hold at least 4 sizes spanning at least two decades so a
     slope fit is meaningful. One discarded warm-up run per size comes
     first; then the reps go round-robin over the sizes, so every n meets
-    the same mix of clock speeds, and each size keeps its median timing.
+    the same mix of clock speeds. Returns (n, median_ns) pairs.
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -82,21 +63,20 @@ def run_grid(algo: str, sizes, reps: int) -> list:
             t0 = time.perf_counter_ns()
             fn(x, n)
             ts.append(time.perf_counter_ns() - t0)
-    return [BenchRecord(algo, n, reps, round(statistics.median(ts))) for n, ts in zip(sizes, times)]
+    return [(n, round(statistics.median(ts))) for n, ts in zip(sizes, times)]
 
 
-def fit_exponent(records) -> float:
-    """Least-squares slope of log median time against log n."""
-    records = list(records)
-    if len(records) < 4:
-        raise ValueError("need at least 4 records to fit a slope")
-    xs = [math.log(r.n) for r in records]
-    ys = [math.log(r.median_ns) for r in records]
+def fit_exponent(rows) -> float:
+    """Least-squares slope of log median time against log n over (n, median_ns) pairs."""
+    rows = list(rows)
+    if len(rows) < 4:
+        raise ValueError("need at least 4 grid points to fit a slope")
+    xs, ys = ([math.log(v) for v in column] for column in zip(*rows))
     return statistics.linear_regression(xs, ys).slope
 
 
-def to_csv(records) -> str:
+def to_csv(algo: str, reps: int, rows) -> str:
     """CSV rows with the fixed header algo,n,reps,median_ns."""
     lines = ["algo,n,reps,median_ns"]
-    lines.extend(f"{r.algo},{r.n},{r.reps},{r.median_ns}" for r in records)
+    lines.extend(f"{algo},{n},{reps},{median_ns}" for n, median_ns in rows)
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .bench import ALGOS, fit_exponent, run_grid, to_csv
-from .exactmath import format_fraction, parse_fraction
+from .exactmath import DIGITS_MAX, format_fraction, parse_fraction
 from .farey import rank_brute, rank_improved, rank_pawlewicz, statistic, totient_sum
 from .geometry import Polygon, _lattice_box, count_lattice, diameter_bound, load_polygon, point_in_scaled, validate
 from .primitive import primitive_brute, primitive_count, random_star_polygon
@@ -34,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 def _int_arg(text: str, name: str, minimum: int = 1) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{name} must be a decimal integer, got {text!r}")
+    if len(text) > DIGITS_MAX:
+        raise ValueError(f"{name} is longer than DIGITS_MAX = {DIGITS_MAX} digits")
     value = int(text)
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
@@ -42,7 +44,10 @@ def _int_arg(text: str, name: str, minimum: int = 1) -> int:
 
 def _cmd_rank(ns) -> int:
     n = _int_arg(ns.n, "--n")
-    x = parse_fraction(ns.x)
+    try:
+        x = parse_fraction(ns.x)
+    except ValueError as exc:
+        raise ValueError(f"--x: {exc}") from None
     print(ALGOS[ns.algo](x, n))
     return 0
 
@@ -87,10 +92,10 @@ def _cmd_bench(ns) -> int:
     reps = _int_arg(ns.reps, "--reps")
     # every grid runs before any is written, so a refused grid leaves stdout empty
     grids = [run_grid(algo, sizes, reps) for algo in ns.algo]
-    for records in grids:
-        sys.stdout.write(to_csv(records))
+    for algo, rows in zip(ns.algo, grids):
+        sys.stdout.write(to_csv(algo, reps, rows))
         if ns.fit:
-            print(f"exponent,{fit_exponent(records):.3f}")
+            print(f"exponent,{fit_exponent(rows):.3f}")
     return 0
 
 

@@ -23,6 +23,10 @@ __all__ = [
 
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _NEGATE = bytes(-i % 256 for i in range(256))  # a signed byte to its negation
+# Longest decimal integer accepted: CPython's int() refuses longer strings by
+# default, with advice to call sys.set_int_max_str_digits; checked first so
+# the refusal names the input instead.
+DIGITS_MAX = 4300
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -34,6 +38,8 @@ def parse_fraction(text: str) -> Fraction:
     if not _FRACTION_RE.fullmatch(text):
         raise ValueError(f"not a fraction: {text!r}")
     num, _, den = text.partition("/")
+    if max(len(num.lstrip("+-")), len(den)) > DIGITS_MAX:
+        raise ValueError(f"a number longer than DIGITS_MAX = {DIGITS_MAX} digits: {text[:20]}...")
     if not den:
         return Fraction(int(num))
     if int(den) == 0:

@@ -7,17 +7,18 @@ the unreduced count sum_{b<=n} floor(b*x) groups by gcd into
 
     S_n(x) = sum_{b<=n} floor(b*x) - sum_{d>=2} S_{floor(n/d)}(x)
 
-and rank = S_n(x) + 1 puts 0/1 back. A quadratic reference loop and block
-recursion over the distinct quotients floor(n/d) evaluate it as it stands.
-Moebius inversion gives S_n(x) = sum_d mu(d) * F(floor(n/d), x) with
-F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens function
-at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5, 1996), does
-not depend on x: the fast tier builds it once per n in O(n^(2/3)), then
-answers each x in one pass of about sqrt(n) C-level steps and floor sums.
-The order statistic narrows an exact rank bracket by such passes, probing
-at short denominators where a pass is cheaper, then walks the next-term
-recurrence of F_n to the k-th member; it keeps the last n's table, so a
-run of queries at one n builds it once.
+and rank = S_n(x) + 1 puts 0/1 back. A quadratic reference loop evaluates
+it as it stands; the n^(3/4) tier takes S_v(x) for v <= sqrt(n) from one
+Moebius sieve and recurses in blocks over the distinct quotients floor(n/d)
+above it. Moebius inversion gives S_n(x) = sum_d mu(d) * F(floor(n/d), x)
+with F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens
+function at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5,
+1996), does not depend on x: the fast tier builds it once per n in
+O(n^(2/3)), then answers each x in one pass of about sqrt(n) C-level steps
+and floor sums. The order statistic narrows an exact rank bracket by such
+passes, probing at short denominators where a pass is cheaper, then walks
+the next-term recurrence of F_n to the k-th member; it keeps the last n's
+table, so a run of queries at one n builds it once.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ def _dense_sum(v: int, e: int, dense: list) -> int:
 
 
 def rank_pawlewicz(x: Fraction | int, n: int) -> int:
-    """Rank via block recursion over the distinct quotients, O(n^(3/4)).
+    """Rank via a sieve below sqrt(n) and block recursion above it, O(n^(3/4)).
 
-    S_v(x) is filled bottom up into dense[v] for every v <= k = isqrt(n),
-    then into big[d] for the quotients v = n // d > k. Nested floors collapse
+    dense[v] = S_v(x) for every v <= k = isqrt(n) comes from one
+    sieved_prefix call, then big[d] is filled for the quotients v = n // d > k
+    in increasing order of v. Nested floors collapse
     (floor(floor(n/d)/e) = floor(n/(d*e))), so the S_{v//e} above k are
     big[d*e], a stride-d slice, and the rest sit in dense.
     """
@@ -140,11 +142,8 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
     if not p:
         return 1
     k = isqrt(n)
-    dense = [0] * (k + 1)
-    f = 0  # floor_sum(v, x), kept running
-    for v in range(1, k + 1):
-        f += v * p // q
-        dense[v] = f - _dense_sum(v, 2, dense)
+    dense = [0, *sieved_prefix(x, k)]
+    f = _floor_sum_ap(k + 1, q, p, 0)  # floor_sum(v, x), kept running
     m = n // (k + 1)
     big = [0] * (m + 1)
     t = k

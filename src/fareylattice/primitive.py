@@ -65,6 +65,10 @@ BRUTE_LIMIT = 5000
 # with Python 3.11 (D = 4*10^7: 1.9-2.6 s, 97 MiB); time and memory grow
 # about like D^(6/7).
 D_MAX = 10**8
+# Longest tail side D / tau accepted from a tau override: the side the default
+# tau reaches at D_MAX. The tail holds about (D/tau)^2 points; at tau = 1 the
+# octagon took 0.4-0.5 s and 30 MiB at D = 2000, 1.5-2.1 s and 74 MiB at 4000.
+TAIL_SIDE_MAX = -(-D_MAX // _iroot_round(D_MAX**4, 7))
 
 
 def _wedges(poly: Polygon) -> list:
@@ -215,15 +219,15 @@ def _table_cap(tau: int, D: int) -> int:
 def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     """Primitive lattice points in the closed region of poly.
 
-    Sets the crossover tau near D^(4/7) unless overridden and fills one
-    table S[j] for j below a cap A near (tau*D^2)^(1/3): zero below tau,
-    and for tau <= j < A the number of tail points whose phi exceeds j,
-    which is S(P/j), written as one run per distinct phi. The tail points
-    with phi > A, few and near the origin or on a radial edge, stay in one
-    list far that each term reads directly. The answer is S[1] plus
-    mu(d) * dp_term(d) summed over the squarefree d < tau, the Moebius fold
-    of the module docstring; S[1] is nonzero only at tau = 1, where that
-    sum is empty. The origin never counts.
+    Sets the crossover tau near D^(4/7) unless overridden, by a tau with
+    D <= TAIL_SIDE_MAX * tau, and fills one table S[j] for j below a cap A
+    near (tau*D^2)^(1/3): zero below tau, and for tau <= j < A the number
+    of tail points whose phi exceeds j, which is S(P/j), written as one run
+    per distinct phi. The tail points with phi > A, few and near the origin
+    or on a radial edge, stay in one list far that each term reads directly.
+    The answer is S[1] plus mu(d) * dp_term(d) summed over the squarefree
+    d < tau, the Moebius fold of the module docstring; S[1] is nonzero only
+    at tau = 1, where that sum is empty. The origin never counts.
 
     Memory and time: about D^(6/7) tail points, table entries and strided
     reads, and about 0.61*tau lattice counts. The table is an int64 array
@@ -240,6 +244,8 @@ def primitive_count(poly: Polygon, tau: int | None = None) -> int:
         tau = min(D, max(1, _iroot_round(D ** 4, 7)))
     elif not 1 <= tau <= D:
         raise ValueError("tau must be between 1 and the diameter bound")
+    elif D > TAIL_SIDE_MAX * tau:
+        raise ValueError(f"tau = {tau} leaves a tail of side D / tau above TAIL_SIDE_MAX = {TAIL_SIDE_MAX} (D = {D})")
     A = _table_cap(tau, D)
     phis = precompute_tail(poly, tau).phis
     split = bisect_left(phis, -A, key=neg)  # phis[:split] > A

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fareylattice.bench import ALGOS, BenchRecord, fit_exponent, golden_x, run_grid, to_csv
+from fareylattice.bench import ALGOS, fit_exponent, golden_x, run_grid, to_csv
 
 
 class TestGoldenX:
@@ -24,34 +24,15 @@ class TestGoldenX:
         assert quotients[-1] == 2
 
 
-class TestBenchRecord:
-    def test_valid(self):
-        rec = BenchRecord(algo="brute", n=100, reps=3, median_ns=1234)
-        assert rec.median_ns == 1234
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(algo="brute", n=100, reps=2, median_ns=10),
-            dict(algo="brute", n=100, reps=3, median_ns=0),
-            dict(algo="brute", n=0, reps=3, median_ns=10),
-        ],
-    )
-    def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            BenchRecord(**kwargs)
-
-
 class TestRunGrid:
     def test_known_algorithms(self):
         assert set(ALGOS) == {"brute", "pawlewicz", "improved"}
 
     def test_small_real_grid(self):
         sizes = [100, 400, 1600, 6400, 25600]
-        records = run_grid("improved", sizes, reps=3)
-        assert [r.n for r in records] == sizes
-        assert all(r.algo == "improved" and r.reps == 3 for r in records)
-        assert all(r.median_ns > 0 for r in records)
+        rows = run_grid("improved", sizes, reps=3)
+        assert [n for n, _ in rows] == sizes
+        assert all(median_ns > 0 for _, median_ns in rows)
 
     @pytest.mark.parametrize(
         "algo,sizes,reps",
@@ -70,43 +51,27 @@ class TestRunGrid:
 
 class TestFitExponent:
     def test_linear(self):
-        records = [
-            BenchRecord(algo="brute", n=16**k, reps=3, median_ns=7 * 16**k)
-            for k in range(1, 7)
-        ]
-        assert abs(fit_exponent(records) - 1.0) < 1e-9
+        rows = [(16**k, 7 * 16**k) for k in range(1, 7)]
+        assert abs(fit_exponent(rows) - 1.0) < 1e-9
 
     def test_three_quarters(self):
         # n = 16^k makes n^(3/4) = 8^k exact in integers
-        records = [
-            BenchRecord(algo="brute", n=16**k, reps=3, median_ns=5 * 8**k)
-            for k in range(1, 8)
-        ]
-        assert abs(fit_exponent(records) - 0.75) < 1e-6
+        rows = [(16**k, 5 * 8**k) for k in range(1, 8)]
+        assert abs(fit_exponent(rows) - 0.75) < 1e-6
 
     def test_two_thirds(self):
-        records = [
-            BenchRecord(algo="brute", n=64**k, reps=3, median_ns=3 * 16**k)
-            for k in range(1, 7)
-        ]
-        assert abs(fit_exponent(records) - Fraction(2, 3)) < 1e-6
+        rows = [(64**k, 3 * 16**k) for k in range(1, 7)]
+        assert abs(fit_exponent(rows) - Fraction(2, 3)) < 1e-6
 
     def test_refuses_short_series(self):
-        records = [
-            BenchRecord(algo="brute", n=16**k, reps=3, median_ns=8**k)
-            for k in range(1, 4)
-        ]
+        rows = [(16**k, 8**k) for k in range(1, 4)]
         with pytest.raises(ValueError):
-            fit_exponent(records)
+            fit_exponent(rows)
 
 
 class TestToCsv:
     def test_shape(self):
-        records = [
-            BenchRecord(algo="improved", n=100, reps=3, median_ns=1111),
-            BenchRecord(algo="improved", n=10000, reps=3, median_ns=22222),
-        ]
-        text = to_csv(records)
+        text = to_csv("improved", 3, [(100, 1111), (10000, 22222)])
         lines = text.strip().splitlines()
         assert lines[0] == "algo,n,reps,median_ns"
         assert lines[1] == "improved,100,3,1111"

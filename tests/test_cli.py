@@ -8,6 +8,7 @@ from fareylattice import geometry
 from fareylattice.cli import run
 
 SQUARE22 = "-2 -2\n2 -2\n2 2\n-2 2\n"
+OCTAGON_D10K = [(5000, 0), (3535, 3535), (0, 5000), (-3535, 3535), (-5000, 0), (-3535, -3535), (0, -5000), (3535, -3535)]
 
 
 @pytest.fixture
@@ -137,6 +138,39 @@ class TestInputErrors:
     def test_exit_two(self, capsys, argv):
         assert run(argv) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["rank", "--n", "9" * 5000, "--x", "1/2"], "--n"),
+            (["rank", "--n", "10", "--x", "1/" + "9" * 5000], "--x"),
+            (["stat", "--n", "4", "--k", "0" * 4301 + "1"], "--k"),
+        ],
+        ids=["n", "x", "k"],
+    )
+    def test_refuses_numbers_above_digit_limit(self, capsys, argv, name):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(name) and "DIGITS_MAX = 4300" in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_polygon_coordinate_above_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.poly"
+        path.write_text("1/" + "7" * 5000 + " 0\n0 1\n-1 -1\n")
+        code, out, err = invoke(capsys, "lattice", "--poly", str(path))
+        assert (code, out) == (2, "")
+        assert "bad-coordinate" in err and "line 1" in err and "DIGITS_MAX = 4300" in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_digit_limit_is_inclusive(self, capsys):
+        assert invoke(capsys, "rank", "--n", "0" * 4299 + "4", "--x", "1/" + "0" * 4299 + "2") == (0, "4\n", "")
+
+    def test_refuses_small_tau_override(self, capsys, tmp_path):
+        path = tmp_path / "octagon.poly"
+        path.write_text("".join(f"{x} {y}\n" for x, y in OCTAGON_D10K))
+        code, out, err = invoke(capsys, "primitive", "--poly", str(path), "--tau", "1")
+        assert (code, out) == (2, "")
+        assert "TAIL_SIDE_MAX" in err
 
     @pytest.mark.parametrize(
         "argv",

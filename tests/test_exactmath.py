@@ -49,6 +49,19 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_fraction(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["9" * 4301, "-" + "9" * 4301, "1/" + "9" * 4301, "7" * 5000 + "/3", "0" * 4301],
+        ids=["integer", "negative", "denominator", "numerator", "zeros"],
+    )
+    def test_refuses_numbers_above_digit_limit(self, text):
+        with pytest.raises(ValueError, match="DIGITS_MAX = 4300") as info:
+            parse_fraction(text)
+        assert "set_int_max_str_digits" not in str(info.value)
+
+    def test_digit_limit_is_inclusive(self):
+        assert parse_fraction("-" + "9" * 4300 + "/" + "0" * 4299 + "3") == Fraction(-(10**4300 - 1), 3)
+
     def test_format_always_shows_denominator(self):
         assert format_fraction(Fraction(1, 2)) == "1/2"
         assert format_fraction(Fraction(3)) == "3/1"

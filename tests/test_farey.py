@@ -176,6 +176,25 @@ class TestSievedPrefix:
     def test_matches_divisor_sieve(self, k, x):
         assert sieved_prefix(x, k) == divisor_sieve_prefix(x, k)
 
+    def test_pawlewicz_reads_one_sieve_below_isqrt(self, monkeypatch):
+        calls = []
+        sieve = farey.sieved_prefix
+
+        def recording(x, k):
+            calls.append(k)
+            return sieve(x, k)
+
+        monkeypatch.setattr(farey, "sieved_prefix", recording)
+        for n in (1, 2, 3, 4, 99, 100, 101, 10**6):
+            for x in (Fraction(1, 3), golden_x(), Fraction(1)):
+                calls.clear()
+                rank_pawlewicz(x, n)
+                assert calls == [isqrt(n)], (n, x)
+                rank_improved(x, n)
+                assert calls == [isqrt(n)], (n, x)
+        calls.clear()
+        assert rank_pawlewicz(Fraction(0), 10**6) == 1 and not calls
+
 
 class TestImprovedCutoff:
     def test_bounds(self):
@@ -198,12 +217,14 @@ class TestImprovedCutoff:
             assert improved_cutoff(n) >= isqrt(n)
 
     def test_tiers_agree_where_the_cutoff_moves(self):
-        # the cutoff steps at perfect cubes and moves on and off isqrt(n)
-        xs = (Fraction(0), Fraction(1), Fraction(1, 2), golden_x(), Fraction(10**12 - 11, 10**12 - 1))
+        # the cutoff steps at perfect cubes and moves on and off isqrt(n), and
+        # the sieve of rank_pawlewicz ends at isqrt(n), which steps at squares
+        xs = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), golden_x(), Fraction(10**12 - 11, 10**12 - 1))
         clamped = {n: improved_cutoff(n) == isqrt(n) for n in range(1, 5001)}
         ns = [n for n in range(1, 60) if improved_cutoff(n) >= n]
         ns += [m**3 + e for m in (2, 3, 7, 15, 16, 17, 31, 64) for e in (-1, 0, 1)]
         ns += [m for n in range(2, 5001) if clamped[n] != clamped[n - 1] for m in (n - 1, n)]
+        ns += [j * j + e for j in range(1, 201) for e in (-1, 0, 1) if j * j + e >= 1]
         for n in ns:
             for x in xs:
                 assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)

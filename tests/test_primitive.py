@@ -20,6 +20,7 @@ from fareylattice.geometry import (
 from fareylattice.primitive import (
     BRUTE_LIMIT,
     D_MAX,
+    TAIL_SIDE_MAX,
     dp_term,
     phi_value,
     precompute_tail,
@@ -41,6 +42,7 @@ from _oracles import (
 )
 
 SQUARE2 = [(-2, -2), (2, -2), (2, 2), (-2, 2)]
+OCTAGON_D10K = [(5000, 0), (3535, 3535), (0, 5000), (-3535, 3535), (-5000, 0), (-3535, -3535), (0, -5000), (3535, -3535)]
 
 
 def check_phi_on_box(poly):
@@ -431,6 +433,29 @@ class TestPrimitiveCount:
             primitive_count(sq, tau=0)
         with pytest.raises(ValueError):
             primitive_count(sq, tau=D + 1)
+
+    def test_refuses_small_tau_override_before_the_tail(self, monkeypatch):
+        # tau = 1 at D = 10^4 would hold about 4*10^7 tail points
+        octagon = validate(Polygon(OCTAGON_D10K))
+        assert diameter_bound(octagon) == 10**4 > TAIL_SIDE_MAX
+        calls = []
+        monkeypatch.setattr(primitive, "precompute_tail", lambda *args: calls.append(args))
+        for tau in (1, 2, 3):
+            with pytest.raises(ValueError, match="TAIL_SIDE_MAX"):
+                primitive_count(octagon, tau=tau)
+        assert not calls
+
+    def test_tail_side_bound_is_inclusive(self, monkeypatch):
+        sq = square2()
+        D = diameter_bound(sq)
+        monkeypatch.setattr(primitive, "TAIL_SIDE_MAX", 2)
+        assert primitive_count(sq, tau=-(-D // 2)) == 16
+        with pytest.raises(ValueError, match="TAIL_SIDE_MAX"):
+            primitive_count(sq, tau=-(-D // 2) - 1)
+
+    def test_tail_side_max_is_the_default_side_at_d_max(self):
+        tau = primitive._iroot_round(D_MAX**4, 7)
+        assert TAIL_SIDE_MAX == 2683 and (TAIL_SIDE_MAX - 1) * tau < D_MAX <= TAIL_SIDE_MAX * tau
 
     def test_unvalidated_input(self):
         assert primitive_count(Polygon(SQUARE2)) == 16
