@@ -9,8 +9,10 @@ the unreduced count sum_{b<=n} floor(b*x) groups by gcd into
 
 and rank = S_n(x) + 1 puts 0/1 back. A quadratic reference loop evaluates
 it as it stands; the n^(3/4) tier takes S_v(x) for v <= sqrt(n) from one
-Moebius sieve and recurses in blocks over the distinct quotients floor(n/d)
-above it. Moebius inversion gives S_n(x) = sum_d mu(d) * F(floor(n/d), x)
+Moebius sieve, and Moebius inversion over the d <= n / (sqrt(n) + 1), whose
+quotients floor(n/d) lie above sqrt(n), leaves one term per squarefree d:
+a floor sum less a pass over the sieve. Inversion over every d gives
+S_n(x) = sum_d mu(d) * F(floor(n/d), x)
 with F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens
 function at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5,
 1996), does not depend on x: the fast tier builds it once per n in
@@ -57,8 +59,11 @@ BLOCK_NS = 350
 # The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV);
 # measured as above, 16..36 time within 15% of each other, 4 or 144 up to 50% slower.
 PASS_DIV = 25
-# Longest gap between quotients that rank_pawlewicz sums term by term: one
-# floor_sum call costs 20..400 terms, and gaps of 32..256 time the same.
+# Longest gap between the quotients of consecutive squarefree d that
+# rank_pawlewicz sums term by term; one floor_sum call costs 20..400 terms.
+# Timed against 64 on the same machine at n = 10^6, 10^8 and 2.56*10^8 and
+# three x, gaps of 32..256 took 0.92..1.10 times as long in the median of
+# 9..21 paired runs, 256 once 1.27 (x = 1 at 10^8).
 FLOOR_GAP = 64
 # statistic stops probing once k is this many members from an end of its
 # bracket and walks the rest. On the same machine a walk step costs 0.15-0.25
@@ -129,13 +134,17 @@ def _dense_sum(v: int, e: int, dense: list) -> int:
 
 
 def rank_pawlewicz(x: Fraction | int, n: int) -> int:
-    """Rank via a sieve below sqrt(n) and block recursion above it, O(n^(3/4)).
+    """Rank via a sieve below sqrt(n) and one Moebius sum above it, O(n^(3/4)).
 
     dense[v] = S_v(x) for every v <= k = isqrt(n) comes from one
-    sieved_prefix call, then big[d] is filled for the quotients v = n // d > k
-    in increasing order of v. Nested floors collapse
-    (floor(floor(n/d)/e) = floor(n/(d*e))), so the S_{v//e} above k are
-    big[d*e], a stride-d slice, and the rest sit in dense.
+    sieved_prefix call. Nested floors collapse (floor(floor(n/d)/e) =
+    floor(n/(d*e))), and n // d > k exactly when d <= m = n // (k + 1), so
+    the identity in the module docstring at v = n // d reads
+    sum_{e: d*e <= m} S_{n//(d*e)} = G[d], with G[d] = F(v, x) minus the
+    S_{v//e} with v // e <= k, all read from dense. Moebius inversion over the
+    multiples of d in [1, m] gives S_n = sum_{d<=m} mu(d) * G[d], so only
+    the squarefree d need their G, taken in increasing order of v with
+    F(v, x) kept running across the d skipped in between.
     """
     x = _check_query(x, n)
     p, q = x.numerator, x.denominator
@@ -145,15 +154,16 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
     dense = [0, *sieved_prefix(x, k)]
     f = _floor_sum_ap(k + 1, q, p, 0)  # floor_sum(v, x), kept running
     m = n // (k + 1)
-    big = [0] * (m + 1)
+    mu = _mobius(m)
+    total = 0 if m else dense[n]
     t = k
-    for d in range(m, 0, -1):
+    for d in compress(range(m, 0, -1), mu[m:0:-1]):
         v = n // d
         gap = range((t + 1) * p, v * p + 1, p)  # b*p for t < b <= v
         f = _floor_sum_ap(v + 1, q, p, 0) if len(gap) > FLOOR_GAP else f + sum(map(floordiv, gap, repeat(q)))
         t = v
-        big[d] = f - sum(big[2 * d :: d]) - _dense_sum(v, v // (k + 1) + 1, dense)
-    return (big[1] if m else dense[n]) + 1
+        total += mu[d] * (f - _dense_sum(v, v // (k + 1) + 1, dense))
+    return total + 1
 
 
 def _mertens_table(n: int) -> tuple:

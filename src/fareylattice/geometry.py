@@ -356,7 +356,9 @@ def _edge_records(poly: Polygon):
     h = cab/(m*g) with g = gcd(dx, dy) is an integer, and i must divide it.
     Their x then runs through x0 + t*q, q = dx/g, x0 = (h/i)*inv mod q with
     inv the inverse of dy/g mod q; a vertical edge counts along y with
-    q = 1, inv = 0. corners: gcd(a) = gcd(ax, ay)/m per integer vertex a
+    q = 1, inv = 0. A lattice point p inside the edge at scale i makes i*p
+    one inside it at scale 1, so only the edges that hold one at i = 1 get
+    a record. corners: gcd(a) = gcd(ax, ay)/m per integer vertex a
     whose down-right step exits the region; it counts where i divides it.
     """
     if poly._records is None:
@@ -374,8 +376,12 @@ def _edge_records(poly: Polygon):
                 g = gcd(dx, dy)
                 h, r = divmod(cab, m * g)
                 if r == 0:
-                    q = dx // g
-                    lines.append((m, h, ax, dx, q, pow(dy // g, -1, q)) if dx else (m, h, ay, dy, 1, 0))
+                    q = dx // g or 1
+                    start, span = (ax, dx) if dx else (ay, dy)
+                    inv = pow(dy // g, -1, q)
+                    lo = start - m * (h * inv % q)  # as in count_lattice at i = 1
+                    if (lo + span - 1) // (m * q) > lo // (m * q):
+                        lines.append((m, h, start, span, q, inv))
             if _downright_exterior(pdx, pdy, dx, dy):
                 v, r = divmod(gcd(ax, ay), m)
                 if r == 0:

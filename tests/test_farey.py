@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 import pytest
@@ -148,6 +149,36 @@ class TestFastTiers:
         x = Fraction(2**61 - 1, 2**62)
         assert rank_pawlewicz(x, 300) == rank_brute(x, 300)
         assert rank_improved(x, 300) == rank_brute(x, 300)
+
+
+def squarefree(m):
+    return all(m % (p * p) for p in range(2, isqrt(m) + 1))
+
+
+class TestPawlewiczAgainstOracles:
+    """rank_pawlewicz against oracles with no Moebius sum in them; rank_improved has one too."""
+
+    def test_every_n_to_300_against_members(self):
+        # F_300's members at or below x, by denominator: rank(x, n) counts those <= n
+        members = farey_members(300)
+        xs = members[:: len(members) // 17] + [Fraction(1), golden_x(), Fraction(2**61 - 1, 2**62)]
+        for x in xs:
+            dens = sorted(f.denominator for f in members[: bisect_right(members, x)])
+            for n in range(1, 301):
+                assert rank_pawlewicz(x, n) == bisect_right(dens, n), (n, x)
+
+    def test_where_the_last_quotient_is_not_squarefree(self):
+        # n = j^2 - 1 and j^2 give m = n // (isqrt(n) + 1) = j - 1, n = j^2 + j
+        # gives m = j; keep the n whose m the Moebius sum skips
+        ns = [n for j in range(2, 121) for n in (j * j - 1, j * j, j * j + j) if not squarefree(n // (isqrt(n) + 1))]
+        assert {4, 8, 9, 12} <= {n // (isqrt(n) + 1) for n in ns}
+        totients = list(accumulate(totient_sieve(ns[-1])))
+        for x in (Fraction(1, 3), golden_x(), Fraction(387420489123, 999999999989)):
+            prefix = divisor_sieve_prefix(x, ns[-1])
+            for n in ns:
+                assert rank_pawlewicz(x, n) == prefix[n - 1] + 1, (n, x)
+        for n in ns:
+            assert rank_pawlewicz(Fraction(1), n) == totients[n] + 1, n
 
 
 class TestSievedPrefix:
