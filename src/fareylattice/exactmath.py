@@ -92,17 +92,14 @@ def _iroot(m: int, e: int) -> int:
         raise ValueError("m must be >= 0")
     if m == 0:
         return 0
+    # Newton from above: by AM-GM no step falls below the floor root, and
+    # each step falls while r**e > m, so it stops exactly there
     r = 1 << -(-m.bit_length() // e)
     while True:
         nr = ((e - 1) * r + m // r ** (e - 1)) // e
         if nr >= r:
-            break
+            return r
         r = nr
-    while r ** e > m:
-        r -= 1
-    while (r + 1) ** e <= m:
-        r += 1
-    return r
 
 
 def _iroot_round(m: int, e: int) -> int:

@@ -28,12 +28,11 @@ __all__ = [
     "convex_hull",
 ]
 
-# Largest accepted vertex count. `fareylattice primitive` on a 10^4-vertex
-# star at D = 10^5, one vertex per angular sector, took 7-10 s with integer
-# vertices and 17-18 s with 12-digit denominators on a 2-CPU Xeon with
-# Python 3.11: validation is O(k), but primitive_count's tail scan tests
-# every wedge in each column and each of its lattice counts makes k floor
-# sums.
+# Largest accepted vertex count; validation is O(k). primitive_count also
+# bounds k*tau by primitive.KTAU_MAX = 10^7, so a 10^4-vertex star, one
+# vertex per angular sector, is accepted up to D = 1.78*10^5, where
+# `fareylattice primitive` took 12-14 s with integer vertices and 25-28 s
+# with 12-digit denominators on a 2-CPU Xeon with Python 3.11.
 K_MAX = 10**4
 
 
@@ -319,60 +318,43 @@ def _lattice_box(poly: Polygon, i: int = 1):
     )
 
 
-def _sign_against_downright(dx, dy) -> int:
-    # sign of cross(d, e) where e is the down-right probe direction, a hair
-    # right of straight down; never parallel to any nonzero d
-    if dx != 0:
-        return -1 if dx > 0 else 1
-    return -1 if dy > 0 else 1
-
-
-def _downright_exterior(adx, ady, bdx, bdy) -> bool:
-    """Does a tiny down-right step leave the region at a vertex entered
-    along (adx, ady) and left along (bdx, bdy)? Only signs are read, so
-    each direction may carry its own positive scale."""
-    sa = _sign_against_downright(adx, ady)
-    sb = _sign_against_downright(bdx, bdy)
-    turn = adx * bdy - ady * bdx
-    if turn > 0:
-        interior = sa > 0 and sb > 0
-    elif turn < 0:
-        interior = sa > 0 or sb > 0
-    else:
-        interior = sa > 0
-    return not interior
-
-
 def _edge_records(poly: Polygon):
     """count_lattice's per-edge data that does not depend on the scale i,
     built once from the validated loop and cached on it: (sums, lines,
     corners), for edges a -> b cleared to scale m and read at s = m*i.
 
+    The rule: a boundary point counts unless a tiny down-right step from it
+    leaves the region. It leaves across an edge exactly when the edge is
+    out, its direction (dx, dy) > (0, 0), rightward or straight up; at a
+    vertex, when either edge is out at a left turn, both at a right one.
+
     sums: (m, sign, lo, hi, mod, slope, e) per non-vertical edge, whose
     floor sum of floor((slope*c + floor(e/s)) / mod) over the columns
-    lo <= s*c < hi enters with sign -1 if the edge runs rightward, +1 if
-    leftward. lines: (m, h, start, span, q, inv) per rightward or upward
-    edge whose line dy*x - dx*y = cab/s can have lattice solutions:
-    h = cab/(m*g) with g = gcd(dx, dy) is an integer, and i must divide it.
-    Their x then runs through x0 + t*q, q = dx/g, x0 = (h/i)*inv mod q with
-    inv the inverse of dy/g mod q; a vertical edge counts along y with
-    q = 1, inv = 0. A lattice point p inside the edge at scale i makes i*p
-    one inside it at scale 1, so only the edges that hold one at i = 1 get
-    a record. corners: gcd(a) = gcd(ax, ay)/m per integer vertex a
-    whose down-right step exits the region; it counts where i divides it.
+    lo <= s*c < hi enters with sign -1 if the edge is out, +1 if not.
+    lines: (m, h, start, span, q, inv) per out edge whose line
+    dy*x - dx*y = cab/s can have lattice solutions: h = cab/(m*g) with
+    g = gcd(dx, dy) is an integer, and i must divide it. Their x then runs
+    through x0 + t*q, q = dx/g, x0 = (h/i)*inv mod q with inv the inverse
+    of dy/g mod q; a vertical edge counts along y with q = 1, inv = 0. A
+    lattice point p inside the edge at scale i makes i*p one inside it at
+    scale 1, so only the edges that hold one at i = 1 get a record.
+    corners: gcd(a) = gcd(ax, ay)/m per integer vertex a whose step leaves
+    the region; it counts where i divides it.
     """
     if poly._records is None:
         edges = poly._edges_cleared()
         sums, lines, corners = [], [], []
         pax, pay, pbx, pby, _ = edges[-1]
         pdx, pdy = pbx - pax, pby - pay
+        pout = (pdx, pdy) > (0, 0)
         for ax, ay, bx, by, m in edges:
             dx, dy = bx - ax, by - ay
+            out = (dx, dy) > (0, 0)
             cab = ax * by - ay * bx
             if dx:
-                sign = 1 if dx < 0 else -1
+                sign = -1 if out else 1
                 sums.append((m, sign, min(ax, bx), max(ax, bx), abs(dx), -sign * dy, sign * cab))
-            if dx > 0 or (dx == 0 and dy > 0):
+            if out:
                 g = gcd(dx, dy)
                 h, r = divmod(cab, m * g)
                 if r == 0:
@@ -382,11 +364,12 @@ def _edge_records(poly: Polygon):
                     lo = start - m * (h * inv % q)  # as in count_lattice at i = 1
                     if (lo + span - 1) // (m * q) > lo // (m * q):
                         lines.append((m, h, start, span, q, inv))
-            if _downright_exterior(pdx, pdy, dx, dy):
+            # a straight vertex has out == pout, since validate refuses fold-backs
+            if (pout or out) if pdx * dy - pdy * dx > 0 else (pout and out):
                 v, r = divmod(gcd(ax, ay), m)
                 if r == 0:
                     corners.append(v)
-            pdx, pdy = dx, dy
+            pdx, pdy, pout = dx, dy, out
         poly._records = sums, lines, corners
     return poly._records
 
@@ -395,21 +378,18 @@ def count_lattice(poly: Polygon, i: int = 1) -> int:
     """Lattice points in the closed region of poly shrunk by i, via one
     floor sum per edge; i*pt in poly is the same test as point_in_scaled.
 
-    Signed column sums with a fixed down-right half-open convention: each
-    non-vertical edge contributes sum of floor(edge_y(c)) over its integer
-    columns min_x <= c < max_x, positive when the edge runs leftward and
-    negative when it runs rightward. The pairing of top and bottom edges
-    per column makes baseline terms cancel, and what remains counts exactly
-    the lattice points whose slight down-right perturbation lies in the
-    interior. Boundary points that convention misses are added back: the
-    relative interiors of rightward and upward edges (an integer line
-    equation per edge) and the integer vertices whose down-right step exits
-    the region. Every edge is read at the integer scale s = m*i of its
-    cleared form, so no Fraction is made, and everything that does not
-    depend on i comes from the polygon's cached edge records: per scale an
-    edge costs its first column, its column count and one floor sum, plus
-    a divisibility test by i where it or its start vertex can hold lattice
-    points.
+    Signed column sums: each non-vertical edge contributes the sum of
+    floor(edge_y(c)) over its integer columns min_x <= c < max_x, negative
+    when the edge is out (rightward or straight up) and positive otherwise.
+    Top and bottom edges pair up per column, so what remains counts the
+    lattice points whose tiny down-right step stays in the region; the
+    boundary points whose step leaves it, on the out edges (an integer line
+    equation per edge) and at vertices, are added back. Every edge is read
+    at the integer scale s = m*i of its cleared form, so no Fraction is
+    made, and everything that does not depend on i comes from the polygon's
+    cached edge records: per scale an edge costs its first column, its
+    column count and one floor sum, plus a divisibility test by i where it
+    or its start vertex can hold lattice points.
     """
     if i < 1:
         raise ValueError("scale factor must be >= 1")

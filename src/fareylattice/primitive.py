@@ -69,6 +69,12 @@ D_MAX = 10**8
 # tau reaches at D_MAX. The tail holds about (D/tau)^2 points; at tau = 1 the
 # octagon took 0.4-0.5 s and 30 MiB at D = 2000, 1.5-2.1 s and 74 MiB at 4000.
 TAIL_SIDE_MAX = -(-D_MAX // _iroot_round(D_MAX**4, 7))
+# Largest k * tau accepted for k vertices: the dense half makes about
+# 0.61*tau lattice counts of k floor sums each. At the bound a 10^4-vertex
+# star at D = 1.78*10^5 (default tau 1000) took 12-14 s with integer
+# vertices and 25-28 s with 12-digit denominators, 24-27 MiB, on a 2-CPU
+# Xeon with Python 3.11; at D = 10^8 it would take about half an hour.
+KTAU_MAX = 10**7
 
 
 def _wedges(poly: Polygon) -> list:
@@ -216,6 +222,11 @@ def _table_cap(tau: int, D: int) -> int:
     return max(tau + 1, _iroot(tau * D * D, 3))
 
 
+# Longest S table accepted from a tau override: the cap the default tau
+# reaches at D_MAX, 7,196,860 int64 entries.
+TABLE_MAX = _table_cap(_iroot_round(D_MAX**4, 7), D_MAX)
+
+
 def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     """Primitive lattice points in the closed region of poly.
 
@@ -232,7 +243,8 @@ def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     Memory and time: about D^(6/7) tail points, table entries and strided
     reads, and about 0.61*tau lattice counts. The table is an int64 array
     read through a memoryview, so a strided sum copies nothing;
-    S(P/j) <= (D+1)^2 fits int64 for every D up to D_MAX, which is checked
+    S(P/j) <= (D+1)^2 fits int64 for every D up to D_MAX. D, the table
+    length (TABLE_MAX) and k*tau for k vertices (KTAU_MAX) are checked
     before anything is allocated.
     """
     if not poly.validated:
@@ -247,6 +259,11 @@ def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     elif D > TAIL_SIDE_MAX * tau:
         raise ValueError(f"tau = {tau} leaves a tail of side D / tau above TAIL_SIDE_MAX = {TAIL_SIDE_MAX} (D = {D})")
     A = _table_cap(tau, D)
+    if A > TABLE_MAX:
+        raise ValueError(f"tau = {tau} needs an S table of {A} entries, above TABLE_MAX = {TABLE_MAX} (D = {D})")
+    k = len(poly.vertices)
+    if k * tau > KTAU_MAX:
+        raise ValueError(f"k * tau = {k} * {tau} is above KTAU_MAX = {KTAU_MAX}: too many edge floor sums")
     phis = precompute_tail(poly, tau).phis
     split = bisect_left(phis, -A, key=neg)  # phis[:split] > A
     far = [phi - 1 for phi in phis[:split]]

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from fareylattice import geometry
+from fareylattice import cli, geometry, primitive
 from fareylattice.cli import run
 
 SQUARE22 = "-2 -2\n2 -2\n2 2\n-2 2\n"
@@ -210,6 +210,21 @@ class TestInputErrors:
         assert "D_MAX" in captured.err
         assert elapsed < 1
 
+    def test_refuses_long_table_override(self, capsys, tmp_path):
+        # the octagon at D = D_MAX with tau = D would fill 10^8 + 1 table entries
+        path = tmp_path / "octagon.poly"
+        path.write_text("".join(f"{x * 10**4} {y * 10**4}\n" for x, y in OCTAGON_D10K))
+        code, out, err = invoke(capsys, "primitive", "--poly", str(path), "--tau", str(10**8))
+        assert (code, out) == (2, "")
+        assert "TABLE_MAX = 7196860" in err
+
+    def test_refuses_many_edge_sums(self, capsys, square_file, monkeypatch):
+        monkeypatch.setattr(primitive, "KTAU_MAX", 4 * 3)
+        assert invoke(capsys, "primitive", "--poly", square_file, "--tau", "3") == (0, "16\n", "")
+        code, out, err = invoke(capsys, "primitive", "--poly", square_file, "--tau", "4")
+        assert (code, out) == (2, "")
+        assert "KTAU_MAX = 12" in err
+
     def test_missing_poly_file(self, capsys, tmp_path):
         assert run(["lattice", "--poly", str(tmp_path / "nope.poly")]) == 2
         capsys.readouterr()
@@ -234,6 +249,18 @@ class TestSelftest:
         assert code == 0
         assert "suites passed" in out
         assert "FAIL" not in out
+
+    def test_medium_passes(self, capsys):
+        code, out, _ = invoke(capsys, "selftest", "--scale", "medium")
+        assert code == 0
+        assert out.endswith("5/5 suites passed\n")
+
+    def test_failing_suite_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "rank_pawlewicz", lambda x, n: -1)
+        code, out, _ = invoke(capsys, "selftest", "--scale", "small")
+        assert code == 3
+        assert "rank-tiers: FAIL (rank mismatch" in out
+        assert out.endswith("4/5 suites passed\n")
 
     def test_deterministic(self, capsys):
         first = invoke(capsys, "selftest", "--seed", "5", "--scale", "small")
@@ -283,6 +310,22 @@ class TestBenchCommand:
             capsys, "bench", "--algo", "improved,brute", "--sizes", "10,40,200,20000", "--reps", "3"
         )
         assert (code, out) == (2, "")
+
+
+class TestExitCodes:
+    def test_help(self, capsys):
+        code, out, _ = invoke(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: fareylattice")
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(n):
+            raise RuntimeError("invariant breached")
+
+        monkeypatch.setattr(cli, "totient_sum", broken)
+        code, out, err = invoke(capsys, "totsum", "--n", "10")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error:") and "invariant breached" in err
 
 
 class TestEntryPoint:

@@ -219,6 +219,18 @@ class TestIntegerRoots:
         r = _iroot(m, e)
         assert r**e <= m < (r + 1) ** e
 
+    def test_iroot_at_perfect_powers(self):
+        # r^e - 1, r^e and r^e + 1, where a Newton step that stops one off
+        # would show; random draws rarely land on them
+        rng = random.Random(16)
+        rs = list(range(1, 300)) + [10**j + d for j in range(3, 21) for d in (-1, 0, 1)]
+        rs += [rng.randint(1, 10**20) for _ in range(300)]
+        for e in range(1, 10):
+            for r in rs:
+                assert _iroot(r**e - 1, e) == r - 1, (r, e)
+                assert _iroot(r**e, e) == r, (r, e)
+                assert _iroot(r**e + 1, e) == (r + 1 if e == 1 else r), (r, e)
+
     def test_iroot_round_exact_halves(self):
         # 2.5^2 = 6.25; round(sqrt(6)) = 2, round(sqrt(7)) = 3
         assert _iroot_round(6, 2) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -503,6 +504,25 @@ class TestCountLattice:
                 assert count_lattice(poly, i) == lattice_scan(scale_down(poly, i)), (den_digits, i)
             _, lines, _ = geometry._edge_records(poly)
             assert len(lines) == edges_with_points(poly), den_digits
+
+    def test_every_corner_on_small_integer_loops(self):
+        # every valid loop of 3 or 4 integer vertices in [-2, 2]^2, once up to
+        # rotation: every pair of edge-direction classes meets at a vertex at
+        # both turn signs, and the vertices land on the lattice at i = 1, 2
+        pts = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+        loops = 0
+        for k in (3, 4):
+            for combo in itertools.permutations(range(len(pts)), k):
+                if combo[0] != min(combo):
+                    continue
+                try:
+                    poly = validate(Polygon([pts[j] for j in combo]))
+                except PolygonError:
+                    continue
+                loops += 1
+                for i in (1, 2, 3):
+                    assert count_lattice(poly, i) == lattice_scan(scale_down(poly, i)), (combo, i)
+        assert loops == 22460
 
 
 class TestConvexHull:

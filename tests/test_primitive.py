@@ -20,6 +20,8 @@ from fareylattice.geometry import (
 from fareylattice.primitive import (
     BRUTE_LIMIT,
     D_MAX,
+    KTAU_MAX,
+    TABLE_MAX,
     TAIL_SIDE_MAX,
     dp_term,
     phi_value,
@@ -43,6 +45,31 @@ from _oracles import (
 
 SQUARE2 = [(-2, -2), (2, -2), (2, 2), (-2, 2)]
 OCTAGON_D10K = [(5000, 0), (3535, 3535), (0, 5000), (-3535, 3535), (-5000, 0), (-3535, -3535), (0, -5000), (3535, -3535)]
+
+
+def octagon(D):
+    """Regular octagon of diameter D about the origin, integer vertices."""
+    R = D // 2
+    r = isqrt(R * R // 2)
+    return validate(Polygon([(R, 0), (r, r), (0, R), (-r, r), (-R, 0), (-r, -r), (0, -R), (r, -r)]))
+
+
+class ReachedTail(Exception):
+    pass
+
+
+def reaches_tail(monkeypatch, poly, tau=None):
+    """Does primitive_count pass every up-front check and start the tail?"""
+
+    def stop(*args):
+        raise ReachedTail
+
+    monkeypatch.setattr(primitive, "precompute_tail", stop)
+    try:
+        primitive_count(poly, tau=tau)
+    except ReachedTail:
+        return True
+    return False
 
 
 def check_phi_on_box(poly):
@@ -456,6 +483,49 @@ class TestPrimitiveCount:
     def test_tail_side_max_is_the_default_side_at_d_max(self):
         tau = primitive._iroot_round(D_MAX**4, 7)
         assert TAIL_SIDE_MAX == 2683 and (TAIL_SIDE_MAX - 1) * tau < D_MAX <= TAIL_SIDE_MAX * tau
+
+    def test_refuses_long_table_override_before_the_tail(self, monkeypatch):
+        # tau = D at D = 10^8 would fill 10^8 + 1 int64 entries, about 800 MB
+        poly = octagon(D_MAX)
+        assert diameter_bound(poly) == D_MAX
+        with pytest.raises(ValueError, match="TABLE_MAX = 7196860"):
+            reaches_tail(monkeypatch, poly, tau=D_MAX)
+
+    def test_table_bound_is_inclusive(self, monkeypatch):
+        sq = square2()
+        D = diameter_bound(sq)
+        monkeypatch.setattr(primitive, "TABLE_MAX", primitive._table_cap(3, D))
+        assert primitive_count(sq, tau=3) == 16
+        assert primitive._table_cap(4, D) > primitive.TABLE_MAX
+        with pytest.raises(ValueError, match="TABLE_MAX"):
+            primitive_count(sq, tau=4)
+
+    def test_table_max_is_the_default_cap_at_d_max(self):
+        tau = primitive._iroot_round(D_MAX**4, 7)
+        assert TABLE_MAX == primitive._table_cap(tau, D_MAX) == 7196860
+
+    def test_refuses_many_edge_sums_before_the_tail(self, monkeypatch):
+        # 10^4 vertices at D = 10^8: about 22,660 squarefree d below the default
+        # tau, 10^4 floor sums each, about half an hour
+        poly = nonconvex_star(random.Random(16), D_MAX, 10**4, 12)
+        with pytest.raises(ValueError, match="KTAU_MAX = 10000000"):
+            reaches_tail(monkeypatch, poly)
+
+    def test_edge_sum_bound_is_inclusive(self, monkeypatch):
+        sq = square2()
+        monkeypatch.setattr(primitive, "KTAU_MAX", 4 * 3)
+        assert primitive_count(sq, tau=3) == 16
+        with pytest.raises(ValueError, match="KTAU_MAX = 12"):
+            primitive_count(sq, tau=4)
+
+    @pytest.mark.parametrize(
+        "D,k,tau",
+        [(D_MAX, 8, None), (10**6, 8, 10**6), (10**5, 10**4, None), (10**5, 10**4, 1000), (10**5, 64, 1440)],
+        ids=["octagon-d-max", "octagon-tau-d", "k-max-star", "k-max-star-at-bound", "workload-star-check-split"],
+    )
+    def test_accepts_inputs_below_both_bounds(self, monkeypatch, D, k, tau):
+        poly = octagon(D) if k == 8 else nonconvex_star(random.Random(D + k), D, k, 12)
+        assert reaches_tail(monkeypatch, poly, tau=tau)
 
     def test_unvalidated_input(self):
         assert primitive_count(Polygon(SQUARE2)) == 16
