@@ -1,0 +1,33 @@
+"""Print one SHA-256 digest of farey._mertens_table and exactmath._mobius.
+
+Run it on two source trees to check that a change to either function keeps
+its output exactly:
+
+    python scripts/table_digest.py path/to/one/src
+    python scripts/table_digest.py path/to/other/src
+
+The n are every n < 3000, 300 random n < 10^7 (seed 0), 10^8, 2*10^8 + 7,
+10^9 and 10^10, and mu is hashed at every k < 3000 and at the sieve lengths
+those tables use. The largest table takes a few seconds and about 60 MiB.
+"""
+
+import hashlib
+import pickle
+import random
+import sys
+
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
+
+from fareylattice.exactmath import _mobius  # noqa: E402
+from fareylattice.farey import _mertens_table, improved_cutoff  # noqa: E402
+
+rng = random.Random(0)
+ns = [*range(1, 3000), *(rng.randrange(1, 10**7) for _ in range(300)), 10**8, 2 * 10**8 + 7, 10**9, 10**10]
+ks = sorted({*range(3000), *map(improved_cutoff, ns)})
+digest = hashlib.sha256()
+for n in ns:
+    plus, minus, coef = _mertens_table(n)
+    digest.update(pickle.dumps((n, plus, minus, coef.tolist())))
+for k in ks:
+    digest.update(pickle.dumps((k, _mobius(k).tobytes())))
+print(f"{len(ns)} tables, {len(ks)} sieves: {digest.hexdigest()}")

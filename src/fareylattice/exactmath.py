@@ -23,6 +23,7 @@ __all__ = [
 
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _NEGATE = bytes(-i % 256 for i in range(256))  # a signed byte to its negation
+_PRIME_SIGN = b"\1\xff" + bytes(254)  # 0 (not prime) to 1, 1 (prime) to -1
 # Longest decimal integer accepted: CPython's int() refuses longer strings by
 # default, with advice to call sys.set_int_max_str_digits; checked first so
 # the refusal names the input instead.
@@ -109,15 +110,16 @@ def _iroot_round(m: int, e: int) -> int:
 
 
 def _mobius(k: int) -> memoryview:
-    """mu(0..k) as signed bytes: per prime p, negate the multiples of p, zero those of p^2."""
+    """mu(0..k) as signed bytes: -1 at the primes and 1 at the other v >= 1, then per prime
+    p <= k/2 negate its other multiples and zero those of p^2; a larger prime has none up to k."""
     r = isqrt(k)
     prime = bytearray(2) + b"\1" * (k - 1)
     for p in range(2, r + 1):
         if prime[p]:
             prime[p * p :: p] = bytes(len(range(p * p, k + 1, p)))
-    mu = bytearray(b"\0" + b"\1" * k)
-    for p in compress(range(k + 1), prime):
-        mu[p::p] = mu[p::p].translate(_NEGATE)
+    mu = bytearray(1) + prime[1 : k + 1].translate(_PRIME_SIGN)
+    for p in compress(range(k // 2 + 1), prime):
+        mu[2 * p :: p] = mu[2 * p :: p].translate(_NEGATE)
         if p <= r:
             mu[p * p :: p * p] = bytes(len(range(p * p, k + 1, p * p)))
     return memoryview(mu).cast("b")

@@ -15,12 +15,12 @@ a floor sum less a pass over the sieve. Inversion over every d gives
 S_n(x) = sum_d mu(d) * F(floor(n/d), x)
 with F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens
 function at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5,
-1996), does not depend on x: the fast tier builds it once per n in
-O(n^(2/3)), then answers each x in one pass of about sqrt(n) C-level steps
-and floor sums. The order statistic narrows an exact rank bracket by such
-passes, probing at short denominators where a pass is cheaper, then walks
-the next-term recurrence of F_n to the k-th member; it keeps the last n's
-table, so a run of queries at one n builds it once.
+1996), does not depend on x: the fast tier builds it once per n as one list
+of M(floor(n/j)) in O(n^(2/3)), then answers each x in one pass of about
+sqrt(n) C-level steps and floor sums. The order statistic narrows an exact
+rank bracket by such passes, probing at short denominators where a pass is
+cheaper, then walks the next-term recurrence of F_n to the k-th member; it
+keeps the last n's table, so a run of queries at one n builds it once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice, repeat, tee
+from itertools import accumulate, chain, compress, islice, pairwise, repeat, starmap, tee
 from math import gcd, isqrt
 from operator import add, floordiv, mul, sub
 
@@ -47,13 +47,15 @@ __all__ = [
 
 BRUTE_LIMIT = 10_000
 # Largest n any query accepts. Measured on a 2-CPU Xeon with Python 3.11,
-# rank_improved at n = 10^9 takes 0.6 s at 27 MiB peak RSS and at 10^10
-# 3.2 s at 61 MiB; its Mertens table grows like n^(2/3), to about 1 GB at 10^12.
+# rank_improved at n = 10^9 takes 0.3-0.4 s at 26 MiB peak RSS and at 10^10
+# 1.5 s at 64 MiB; its Mertens table grows like n^(2/3), to about 1 GB at 10^12.
 N_MAX = 10**10
-# Cost per element in ns of the two halves of _mertens_table on the same
-# machine (n = 10^6..2.56*10^8, k = 0.7..1.4 * n^(2/3), time flat within 10%):
-# mu and M up to k take SIEVE_NS * k and M at the quotients above k
+# The two halves of _mertens_table: mu up to k with its sums between quotients
+# takes SIEVE_NS * k, and M(n // j) above isqrt(n) with the block recursion
 # BLOCK_NS * n / sqrt(k), least in sum at k = (BLOCK_NS * n / (2 * SIEVE_NS))^(2/3).
+# Only the ratio counts. On the same machine they now cost 60-100 and 150-170 ns
+# per element, a ratio that puts k 1.2x higher, but k scaled by 0.5..1.4 at n =
+# 10^6..2.56*10^8 moved the table by no more than its run-to-run noise.
 SIEVE_NS = 180
 BLOCK_NS = 350
 # The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV);
@@ -172,34 +174,37 @@ def _mertens_table(n: int) -> tuple:
     In S_n(x) = sum_d mu(d) F(n // d) the squarefree d <= s are kept as
     n // d + 1 by the sign of mu(d), and the d > s, grouped by w = n // d <=
     U = n // (s + 1), give sum_{w<=U} floor(w*x) coef[w-1], coef[w-1] =
-    M(n // w) - M(s). M is a prefix sum of mu up to k = improved_cutoff(n);
-    at the quotients v = n // d > k, big[d] = 1 - sum_{e>=2} M(v // e) in
-    three C-level sums: big[d*e] while v // e > k, M(v // e) at the distinct
-    quotients above r = isqrt(v), and by Abel summation
-    sum_{w<=r} mu(w) (v//w) - (v//(r+1)) M(r) for the e with v // e <= r.
+    M(n // w) - M(s), a slice of one list W[j] = M(n // j) for j up to
+    max(isqrt(n*m), U), m = n // (k + 1), with mu up to k = improved_cutoff(n):
+    a gather from M(0..t) for j > t = isqrt(n), sums of mu between consecutive
+    quotients for m < j <= t, and for the d <= m, whose v = n // d exceed k,
+    W[d] = 1 - sum_{e>=2} M(v // e) in three C-level sums: the strided slice
+    W[2d : d*q + 1 : d] for the e <= q = v // (r + 1), r = isqrt(v), as
+    n // (d*e) = v // e (d*q < sqrt(n*d)), and by Abel summation
+    sum_{w<=r} mu(w) (v//w) - q M(r) for the e with v // e <= r.
     """
     k = improved_cutoff(n)
     mu = _mobius(k)
-    # equal values share one int object, so M costs one pointer per entry
-    mertens = list(map({}.setdefault, *tee(accumulate(mu))))
-    plus, minus = (list(compress(range(isqrt(n) + 1), map(sign.__eq__, mu))) for sign in (1, -1))
-    m = n // (k + 1)
-    big = [0] * (m + 1)
+    t, m, s = isqrt(n), n // (k + 1), isqrt(n // PASS_DIV)
+    same = {}.setdefault  # equal values share one int object
+    low = list(map(same, *tee(accumulate(mu[: t + 1]))))
+    plus, minus = (list(compress(range(t + 1), map(sign.__eq__, mu))) for sign in (1, -1))
+    quot = map(floordiv, repeat(n), range(t + 1, m, -1))  # n // j for j = t + 1 down to m + 1
+    mid = accumulate(map(sum, map(mu[1:].__getitem__, starmap(slice, pairwise(quot)))), initial=low[n // (t + 1)])
+    far = map(low.__getitem__, map(floordiv, repeat(n), range(t + 2, max(isqrt(n * m), n // (s + 1)) + 1)))
+    W = list(chain(repeat(0, m + 1), reversed(list(map(same, *tee(mid)))), far))
     for d in range(m, 0, -1):
         v = n // d
         r = isqrt(v)
         q = v // (r + 1)
-        big[d] = (
+        W[d] = (
             1
-            - sum(big[2 * d :: d])
-            - sum(map(mertens.__getitem__, map(floordiv, repeat(v), range(v // (k + 1) + 1, q + 1))))
+            - sum(W[2 * d : d * q + 1 : d])
             - sum(map(floordiv, repeat(v), islice(plus, bisect_right(plus, r))))
             + sum(map(floordiv, repeat(v), islice(minus, bisect_right(minus, r))))
-            + q * mertens[r]
+            + q * low[r]
         )
-    s = isqrt(n // PASS_DIV)
-    small = map(mertens.__getitem__, map(floordiv, repeat(n), range(m + 1, n // (s + 1) + 1)))
-    coef = array("q", map(sub, chain(islice(big, 1, None), small), repeat(mertens[s])))
+    coef = array("q", map(sub, islice(W, 1, n // (s + 1) + 1), repeat(low[s])))
     return (*([n // d + 1 for d in islice(ds, bisect_right(ds, s))] for ds in (plus, minus)), coef)
 
 

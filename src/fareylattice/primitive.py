@@ -31,7 +31,6 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd
@@ -120,7 +119,6 @@ def phi_value(poly: Polygon, pt) -> int:
     return phi
 
 
-@dataclass
 class ImplicitTail:
     """Exit thresholds of the lattice points that survive the tau shrink.
 
@@ -130,8 +128,10 @@ class ImplicitTail:
     for any i >= tau.
     """
 
-    tau: int
-    phis: list = field(default_factory=list)
+    __slots__ = ("tau", "phis")
+
+    def __init__(self, tau: int, phis: list) -> None:
+        self.tau, self.phis = tau, phis
 
 
 def precompute_tail(poly: Polygon, tau: int) -> ImplicitTail:

@@ -1,9 +1,11 @@
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fareylattice
 from fareylattice import cli, geometry, primitive
 from fareylattice.cli import run
 
@@ -337,3 +339,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "4\n"
+
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # a fresh process starts the CLI without them: dataclasses alone
+        # imports inspect, several ms of every start-up
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import fareylattice.cli as c; c._build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        src = str(Path(fareylattice.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -211,6 +211,14 @@ class TestMobius:
         M = mertens_naive(k)
         assert list(_mobius(k)) == [0] + [M[v] - M[v - 1] for v in range(1, k + 1)]
 
+    def test_every_k_to_2000_and_at_10_to_5(self):
+        # the primes above k/2 are set apart from the rest, so both parities
+        # of k and the k = 0, 1, 2 ends are covered
+        M = mertens_naive(10**5)
+        mu = [0] + [M[v] - M[v - 1] for v in range(1, 10**5 + 1)]
+        for k in [*range(2001), 10**5]:
+            assert list(_mobius(k)) == mu[: k + 1], k
+
 
 class TestIntegerRoots:
     @settings(max_examples=300, deadline=None)

@@ -288,6 +288,23 @@ class TestMertensTable:
         for n in ns:
             self.check(n)
 
+    def test_where_the_quotient_below_isqrt_flips(self):
+        # n // (isqrt(n) + 1) is isqrt(n) at n = t^2 - 1 and t^2 + t but
+        # isqrt(n) - 1 at t^2 and t^2 + t - 1; the sums of mu above isqrt(n)
+        # start from M at that quotient
+        for t in range(1, 210):
+            for n in (t * t - 1, t * t, t * (t + 1) - 1, t * (t + 1)):
+                if n >= 1:
+                    self.check(n)
+
+    def test_rank_matches_pawlewicz_at_large_n(self):
+        rng = random.Random(17)
+        den = rng.randrange(10**11, 10**12)
+        xs = [golden_x(), Fraction(rng.randrange(den + 1), den), Fraction(1)]
+        for n in (10**7 + 19, 3 * 10**7 + 1, 10**8 - 1):
+            for x in xs:
+                assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
+
     def test_rank_matches_pawlewicz_at_the_ends_and_long_denominators(self):
         rng = random.Random(2024)
         ns = [1, 2, 3, 24, 25, 26, 99, 1000, 4097] + [rng.randint(10**3, 10**6) for _ in range(8)]
