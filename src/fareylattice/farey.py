@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice, pairwise, repeat, starmap, tee
+from itertools import accumulate, chain, compress, islice, repeat, tee
 from math import gcd, isqrt
 from operator import add, floordiv, mul, sub
 
@@ -47,15 +47,13 @@ __all__ = [
 
 BRUTE_LIMIT = 10_000
 # Largest n any query accepts. Measured on a 2-CPU Xeon with Python 3.11,
-# rank_improved at n = 10^9 takes 0.3-0.4 s at 26 MiB peak RSS and at 10^10
-# 1.5 s at 64 MiB; its Mertens table grows like n^(2/3), to about 1 GB at 10^12.
+# rank_improved at n = 10^9 takes 0.35 s at 27 MiB peak RSS and at 10^10
+# 1.4-1.7 s at 67 MiB; its Mertens table grows like n^(2/3), to about 1 GB at 10^12.
 N_MAX = 10**10
-# The two halves of _mertens_table: mu up to k with its sums between quotients
-# takes SIEVE_NS * k, and M(n // j) above isqrt(n) with the block recursion
-# BLOCK_NS * n / sqrt(k), least in sum at k = (BLOCK_NS * n / (2 * SIEVE_NS))^(2/3).
-# Only the ratio counts. On the same machine they now cost 60-100 and 150-170 ns
-# per element, a ratio that puts k 1.2x higher, but k scaled by 0.5..1.4 at n =
-# 10^6..2.56*10^8 moved the table by no more than its run-to-run noise.
+# Cost in ns per element of the two halves of _mertens_table, mu up to k with its
+# running sum and the rest of W: SIEVE_NS * k and BLOCK_NS * n / sqrt(k), least in sum at
+# k = (BLOCK_NS * n / (2 * SIEVE_NS))^(2/3). Now 70-120 and 170-190 ns on the same machine,
+# but k scaled by 1.2-1.4 at n = 10^6..2.56*10^8 saved under 2%, and by 0.5 cost 15-20%.
 SIEVE_NS = 180
 BLOCK_NS = 350
 # The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV);
@@ -173,26 +171,29 @@ def _mertens_table(n: int) -> tuple:
 
     In S_n(x) = sum_d mu(d) F(n // d) the squarefree d <= s are kept as
     n // d + 1 by the sign of mu(d), and the d > s, grouped by w = n // d <=
-    U = n // (s + 1), give sum_{w<=U} floor(w*x) coef[w-1], coef[w-1] =
-    M(n // w) - M(s), a slice of one list W[j] = M(n // j) for j up to
-    max(isqrt(n*m), U), m = n // (k + 1), with mu up to k = improved_cutoff(n):
-    a gather from M(0..t) for j > t = isqrt(n), sums of mu between consecutive
-    quotients for m < j <= t, and for the d <= m, whose v = n // d exceed k,
-    W[d] = 1 - sum_{e>=2} M(v // e) in three C-level sums: the strided slice
-    W[2d : d*q + 1 : d] for the e <= q = v // (r + 1), r = isqrt(v), as
-    n // (d*e) = v // e (d*q < sqrt(n*d)), and by Abel summation
-    sum_{w<=r} mu(w) (v//w) - q M(r) for the e with v // e <= r.
+    U = n // (s + 1), give sum_{w<=U} floor(w*x) coef[w-1]: coef is the head of
+    one list W[j] = M(n // j) - M(s), j <= max(isqrt(n*m), U), m = n // (k + 1),
+    filled from one running sum of mu up to k = improved_cutoff(n) started at
+    -M(s): a gather from its first t + 1 values where n // j <= t = isqrt(n), its
+    values at n // j for the other j > m, and for the d <= m, by
+    sum_{e<=v} M(v // e) = 1 at v = n // d > k, r = isqrt(v), q = v // (r + 1),
+    W[d] = 1 - sum(W[2d : d*q + 1 : d]) - sum_{w<=r} mu(w) (v//w) + q (M(r) - M(s)):
+    n // (d*e) = v // e (d*q < sqrt(n*d)) for e <= q, Abel summation for the rest.
     """
     k = improved_cutoff(n)
     mu = _mobius(k)
     t, m, s = isqrt(n), n // (k + 1), isqrt(n // PASS_DIV)
+    t0, v0 = n // (t + 1), n // (m + 1)  # n // j > t exactly for j <= t0, and v0 <= k
+    acc = accumulate(mu[1 : v0 + 1], initial=-sum(mu[1 : s + 1]))
     same = {}.setdefault  # equal values share one int object
-    low = list(map(same, *tee(accumulate(mu[: t + 1]))))
+    low = list(map(same, *tee(islice(acc, t + 1))))
+    at = bytearray(v0 + 1)
+    any(map(at.__setitem__, map(floordiv, repeat(n), range(m + 1, t0 + 1)), repeat(1)))
+    mid = list(map(same, *tee(compress(acc, islice(at, t + 1, None)))))
+    del at
+    far = map(low.__getitem__, map(floordiv, repeat(n), range(t0 + 1, max(isqrt(n * m), n // (s + 1)) + 1)))
+    W = list(chain(repeat(0, m + 1), reversed(mid), far))
     plus, minus = (list(compress(range(t + 1), map(sign.__eq__, mu))) for sign in (1, -1))
-    quot = map(floordiv, repeat(n), range(t + 1, m, -1))  # n // j for j = t + 1 down to m + 1
-    mid = accumulate(map(sum, map(mu[1:].__getitem__, starmap(slice, pairwise(quot)))), initial=low[n // (t + 1)])
-    far = map(low.__getitem__, map(floordiv, repeat(n), range(t + 2, max(isqrt(n * m), n // (s + 1)) + 1)))
-    W = list(chain(repeat(0, m + 1), reversed(list(map(same, *tee(mid)))), far))
     for d in range(m, 0, -1):
         v = n // d
         r = isqrt(v)
@@ -204,14 +205,16 @@ def _mertens_table(n: int) -> tuple:
             + sum(map(floordiv, repeat(v), islice(minus, bisect_right(minus, r))))
             + q * low[r]
         )
-    coef = array("q", map(sub, islice(W, 1, n // (s + 1) + 1), repeat(low[s])))
+    coef = array("q", islice(W, 1, n // (s + 1) + 1))
     return (*([n // d + 1 for d in islice(ds, bisect_right(ds, s))] for ds in (plus, minus)), coef)
 
 
 def _rank_pass(x: Fraction, table: tuple) -> int:
-    """rank(x, n) from table = _mertens_table(n): about 0.6 s floor sums and one dot product."""
+    """rank(x, n) from table = _mertens_table(n): about 0.6 s floor sums and one dot product,
+    all of floor(b*x) at b <= n, which the member of F_n at or just below x shares in smaller numbers."""
     plus, minus, coef = table
-    p, q = x.numerator, x.denominator
+    n = plus[0] - 1 if plus else len(coef)  # d = 1 is in plus once s >= 1, and U = n before
+    p, q = _neighbours(x, n)[:2] if x.denominator > n else (x.numerator, x.denominator)
     if not p:
         return 1
     f = [sum(map(_floor_sum_ap, ds, repeat(q), repeat(p), repeat(0))) for ds in (plus, minus)]

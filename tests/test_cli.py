@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 import time
@@ -341,12 +342,26 @@ class TestEntryPoint:
         assert proc.stdout == "4\n"
 
     def test_import_leaves_out_dataclasses_and_inspect(self):
-        # a fresh process starts the CLI without them: dataclasses alone
-        # imports inspect, several ms of every start-up
+        # dataclasses alone imports inspect, several ms of every start-up. The
+        # baseline is what the other standard modules the package imports, and
+        # an argparse parser, load by themselves in the same fresh process, so a
+        # Python whose standard library pulls either in does not fail here.
+        pkg = Path(fareylattice.__file__).parent
+        stdlib = set()
+        for path in pkg.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    stdlib.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    stdlib.add(node.module)
+        stdlib -= {"dataclasses", "inspect"}
         code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import fareylattice.cli as c; c._build_parser(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            "import argparse, importlib, sys; sys.path.insert(0, sys.argv[1]); watch = {'dataclasses', 'inspect'}\n"
+            "for name in sys.argv[2:]: importlib.import_module(name)\n"
+            "argparse.ArgumentParser().add_subparsers().add_parser('x').add_argument('--y', type=int)\n"
+            "before = watch & set(sys.modules)\n"
+            "import fareylattice.cli as c; c._build_parser()\n"
+            "print(sorted(watch & set(sys.modules) - before))"
         )
-        src = str(Path(fareylattice.__file__).parent.parent)
-        proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-I", "-c", code, str(pkg.parent), *sorted(stdlib)], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -2,7 +2,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -290,8 +290,8 @@ class TestMertensTable:
 
     def test_where_the_quotient_below_isqrt_flips(self):
         # n // (isqrt(n) + 1) is isqrt(n) at n = t^2 - 1 and t^2 + t but
-        # isqrt(n) - 1 at t^2 and t^2 + t - 1; the sums of mu above isqrt(n)
-        # start from M at that quotient
+        # isqrt(n) - 1 at t^2 and t^2 + t - 1; W[j] = M(n // j) is read from
+        # M(0..isqrt(n)) exactly for the j above that quotient
         for t in range(1, 210):
             for n in (t * t - 1, t * t, t * (t + 1) - 1, t * (t + 1)):
                 if n >= 1:
@@ -312,6 +312,26 @@ class TestMertensTable:
             xs = [Fraction(0), Fraction(1)]
             for den in (rng.randrange(10**11, 10**12) for _ in range(3)):
                 xs.append(Fraction(rng.randrange(den + 1), den))
+            for x in xs:
+                assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
+
+    def test_long_denominators_next_to_members(self):
+        # a pass takes an x of denominator above n as the member of F_n just
+        # below it: a hair below a member ranks one lower than the member,
+        # a hair above the same, and below 1/n only 0/1 counts
+        eps = Fraction(1, 10**15)
+        for n in (1, 2, 5, 24, 25, 26, 60):
+            for position, f in enumerate(farey_members(n), start=1):
+                if f:
+                    assert rank_improved(f - eps, n) == position - 1, (n, f)
+                if f < 1:
+                    assert rank_improved(f + eps, n) == position, (n, f)
+        rng = random.Random(5)
+        for n in (10**5 + 3, 2 * 10**6 + 1):
+            xs = [Fraction(1, n) - eps, Fraction(1, n + 1), Fraction(1, n), 1 - Fraction(1, n) + eps]
+            for b in (rng.randrange(n // 2, n + 1) for _ in range(4)):
+                a = next(a for a in iter(lambda: rng.randrange(1, b), None) if gcd(a, b) == 1)
+                xs += [Fraction(a, b) - eps, Fraction(a, b) + eps]
             for x in xs:
                 assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
 
