@@ -16,11 +16,17 @@ S_n(x) = sum_d mu(d) * F(floor(n/d), x)
 with F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens
 function at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5,
 1996), does not depend on x: the fast tier builds it once per n as one list
-of M(floor(n/j)) in O(n^(2/3)), then answers each x in one pass of about
-sqrt(n) C-level steps and floor sums. The order statistic narrows an exact
-rank bracket by such passes, probing at short denominators where a pass is
-cheaper, then walks the next-term recurrence of F_n to the k-th member; it
-keeps the last n's table, so a run of queries at one n builds it once.
+of M(floor(n/j)) in O(n^(2/3)), kept as prefix sums pre with |F_n|, then
+answers each x = p/q in one pass of floor sums and one Beatty sum,
+
+    sum_{w<=U} floor(w*p/q) c_w = sum_{j<=U*p/q} (pre[U] - pre[ceil(j*q/p) - 1]),
+
+about x*U C-level reads. F_n is symmetric about 1/2, so rank(x) +
+rank(1 - x) = |F_n| + 1 for x in F_n, and the pass runs only at x <= 1/2.
+The order statistic narrows an exact rank bracket by such passes, probing
+at short denominators where a pass is cheaper, then walks the next-term
+recurrence of F_n to the k-th member; it keeps the last n's table, so a run
+of queries at one n builds it once.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat, tee
-from math import gcd, isqrt
-from operator import add, floordiv, mul, sub
+from math import comb, gcd, isqrt
+from operator import add, floordiv, sub
 
 from .exactmath import _floor_sum_ap, _iroot_round, _mobius
 
@@ -47,8 +53,9 @@ __all__ = [
 
 BRUTE_LIMIT = 10_000
 # Largest n any query accepts. Measured on a 2-CPU Xeon with Python 3.11,
-# rank_improved at n = 10^9 takes 0.35 s at 27 MiB peak RSS and at 10^10
-# 1.4-1.7 s at 67 MiB; its Mertens table grows like n^(2/3), to about 1 GB at 10^12.
+# rank_improved at golden x takes 0.25-0.27 s at n = 10^9 and 26.7 MiB peak RSS,
+# and 1.4-1.7 s at 10^10 and 66.8 MiB; its Mertens table grows like n^(2/3),
+# to about 1 GB at 10^12.
 N_MAX = 10**10
 # Cost in ns per element of the two halves of _mertens_table, mu up to k with its
 # running sum and the rest of W: SIEVE_NS * k and BLOCK_NS * n / sqrt(k), least in sum at
@@ -66,14 +73,15 @@ PASS_DIV = 25
 # 9..21 paired runs, 256 once 1.27 (x = 1 at 10^8).
 FLOOR_GAP = 64
 # statistic stops probing once k is this many members from an end of its
-# bracket and walks the rest. On the same machine a walk step costs 0.15-0.25
+# bracket and walks the rest. On the same machine a walk step costs 0.13-0.25
 # us and a probe, one x pass at the short denominators statistic probes at,
-# 0.2-0.3 ms at n = 10^5 and 0.8-1.1 ms at 10^6 (about 1,500 and 5,000
-# steps), against 0.4-0.6 and 1.4-1.9 ms at denominator 4n^2. A probe moves
-# by up to WALK_MAX/64 members to reach a short denominator, and the walk
-# then takes 160 steps on average at 10^6; moving by up to WALK_MAX/4 made
-# the query slower (1.2-1.7 against 0.9-1.2 ms at 10^6, 0.6 against 0.3 ms
-# at 10^5) because the longer walk cost more than the probe saved.
+# 0.11 ms at n = 10^5 and 0.40 ms at 10^6 (about 800 and 3,000 steps),
+# against 0.12-0.14 and 0.43 ms at denominator 4n^2. A probe moves by up to
+# WALK_MAX/64 members to reach a short denominator, and the walk then takes
+# 160 steps on average at 10^6; moving by up to WALK_MAX/4 made the query
+# slower because the longer walk cost more than the probe saved. In 20
+# paired rounds of 200 queries at 10^6, 2^12 and 2^13 beat 2^14 in 11 and 9
+# (0.50 against 0.51, 0.449 against 0.452 ms a query), and 2^15 in 4.
 WALK_MAX = 2**14
 
 
@@ -167,12 +175,14 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
 
 
 def _mertens_table(n: int) -> tuple:
-    """The x-independent part of rank at n: (plus, minus, coef) for _rank_pass.
+    """The x-independent part of rank at n: (plus, minus, pre, size) for _rank_pass.
 
     In S_n(x) = sum_d mu(d) F(n // d) the squarefree d <= s are kept as
     n // d + 1 by the sign of mu(d), and the d > s, grouped by w = n // d <=
-    U = n // (s + 1), give sum_{w<=U} floor(w*x) coef[w-1]: coef is the head of
-    one list W[j] = M(n // j) - M(s), j <= max(isqrt(n*m), U), m = n // (k + 1),
+    U = n // (s + 1), give sum_{w<=U} floor(w*x) W[w], kept as the prefix sums
+    pre[w] = W[1] + ... + W[w] that _rank_pass reads; at x = 1 that sum is
+    U*pre[U] - sum(pre[:U]), and F(v, 1) = v(v+1)/2, so size = |F_n| comes in
+    closed form. W[j] = M(n // j) - M(s), j <= max(isqrt(n*m), U), m = n // (k + 1), is
     filled from one running sum of mu up to k = improved_cutoff(n) started at
     -M(s): a gather from its first t + 1 values where n // j <= t = isqrt(n), its
     values at n // j for the other j > m, and for the d <= m, by
@@ -205,21 +215,33 @@ def _mertens_table(n: int) -> tuple:
             + sum(map(floordiv, repeat(v), islice(minus, bisect_right(minus, r))))
             + q * low[r]
         )
-    coef = array("q", islice(W, 1, n // (s + 1) + 1))
-    return (*([n // d + 1 for d in islice(ds, bisect_right(ds, s))] for ds in (plus, minus)), coef)
+    pre = array("q", accumulate(islice(W, 1, n // (s + 1) + 1), initial=0))
+    plus, minus = ([n // d + 1 for d in islice(ds, bisect_right(ds, s))] for ds in (plus, minus))
+    size = 1 + sum(map(comb, plus, repeat(2))) - sum(map(comb, minus, repeat(2))) + len(pre) * pre[-1] - sum(pre)
+    return plus, minus, pre, size
 
 
 def _rank_pass(x: Fraction, table: tuple) -> int:
-    """rank(x, n) from table = _mertens_table(n): about 0.6 s floor sums and one dot product,
-    all of floor(b*x) at b <= n, which the member of F_n at or just below x shares in smaller numbers."""
-    plus, minus, coef = table
-    n = plus[0] - 1 if plus else len(coef)  # d = 1 is in plus once s >= 1, and U = n before
+    """rank(x, n) from table = _mertens_table(n): about 0.6 s floor sums and one Beatty sum.
+
+    All of it is floor(b*x) at b <= n, which the member p/q of F_n at or just below x
+    shares in smaller numbers. F_n is symmetric about 1/2, so for 2p > q the rank is
+    |F_n| + 1 - rank((q - p)/q), and the pass runs only at p/q <= 1/2. There
+    sum_{w<=U} floor(w*p/q) c_w = sum_{j<=J} sum_{w>=ceil(j*q/p)} c_w, J = floor(U*p/q),
+    reads J <= U/2 prefix sums pre[ceil(j*q/p) - 1] with no multiply.
+    """
+    plus, minus, pre, size = table
+    n = plus[0] - 1 if plus else len(pre) - 1  # d = 1 is in plus once s >= 1, and U = n before
     p, q = _neighbours(x, n)[:2] if x.denominator > n else (x.numerator, x.denominator)
-    if not p:
-        return 1
-    f = [sum(map(_floor_sum_ap, ds, repeat(q), repeat(p), repeat(0))) for ds in (plus, minus)]
-    floors = map(floordiv, range(p, len(coef) * p + 1, p), repeat(q))  # floor(w*x), w <= U
-    return f[0] - f[1] + sum(map(mul, floors, coef)) + 1
+    flip = 2 * p > q
+    p = q - p if flip else p
+    r = 1
+    if p:
+        J = (len(pre) - 1) * p // q
+        r += J * pre[-1] - sum(map(pre.__getitem__, map(floordiv, range(q - 1, J * q, q), repeat(p))))
+        r += sum(map(_floor_sum_ap, plus, repeat(q), repeat(p), repeat(0)))
+        r -= sum(map(_floor_sum_ap, minus, repeat(q), repeat(p), repeat(0)))
+    return size + 1 - r if flip else r
 
 
 def improved_cutoff(n: int) -> int:
@@ -301,12 +323,11 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 @lru_cache(maxsize=1)
 def _statistic_table(n: int) -> tuple:
-    """(_mertens_table(n), |F_n|), kept for the next statistic query at n.
+    """_mertens_table(n), kept for the next statistic query at n.
 
     Shared by every caller, so nothing may mutate it; _rank_pass does not.
     """
-    table = _mertens_table(n)
-    return table, _rank_pass(Fraction(1), table)
+    return _mertens_table(n)
 
 
 def statistic(k: int, n: int) -> Fraction:
@@ -324,12 +345,13 @@ def statistic(k: int, n: int) -> Fraction:
     Once k is within WALK_MAX members of an end, the answer is walked to
     exactly from that end's Farey neighbours.
 
-    Every rank call, the size call included, is an x pass over one Mertens
-    table of n, kept with |F_n| for the next query at the same n; only the
-    last n's table is kept.
+    Every rank call is an x pass over one Mertens table of n, which also
+    holds |F_n|, kept for the next query at the same n; only the last n's
+    table is kept.
     """
     _check_query(0, n)
-    table, size = _statistic_table(n)
+    table = _statistic_table(n)
+    size = table[3]
     if not 1 <= k <= size:
         raise ValueError(f"k must lie in [1, {size}] for n = {n}")
     lo, rlo, hi, rhi = Fraction(0), 1, Fraction(1), size

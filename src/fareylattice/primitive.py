@@ -68,11 +68,15 @@ D_MAX = 10**8
 # tau reaches at D_MAX. The tail holds about (D/tau)^2 points; at tau = 1 the
 # octagon took 0.4-0.5 s and 30 MiB at D = 2000, 1.5-2.1 s and 74 MiB at 4000.
 TAIL_SIDE_MAX = -(-D_MAX // _iroot_round(D_MAX**4, 7))
-# Largest k * tau accepted for k vertices: the dense half makes about
-# 0.61*tau lattice counts of k floor sums each. At the bound a 10^4-vertex
-# star at D = 1.78*10^5 (default tau 1000) took 12-14 s with integer
-# vertices and 25-28 s with 12-digit denominators, 24-27 MiB, on a 2-CPU
-# Xeon with Python 3.11; at D = 10^8 it would take about half an hour.
+# Largest k * max(tau, ceil(D / tau)) accepted for k vertices: the dense half
+# makes about 0.61*tau lattice counts of k floor sums each, and the tail scan
+# about k*D/tau wedge tests. At the bound a 10^4-vertex star at D = 1.78*10^5
+# (default tau 1000) took 12-14 s with integer vertices and 25-28 s with
+# 12-digit denominators, 24-27 MiB, on a 2-CPU Xeon with Python 3.11; at
+# D = 10^8 it would take about half an hour, and the same star at D = 10^6
+# with tau = 1000 (D / tau = 1000) took 33 s. The default tau, about D^(4/7),
+# is below ceil(D / tau) only at D = 2 (tau = 1), so at the default tau the
+# bound refuses nothing that k * tau <= KTAU_MAX let through.
 KTAU_MAX = 10**7
 
 
@@ -244,8 +248,8 @@ def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     reads, and about 0.61*tau lattice counts. The table is an int64 array
     read through a memoryview, so a strided sum copies nothing;
     S(P/j) <= (D+1)^2 fits int64 for every D up to D_MAX. D, the table
-    length (TABLE_MAX) and k*tau for k vertices (KTAU_MAX) are checked
-    before anything is allocated.
+    length (TABLE_MAX) and k*max(tau, D/tau) for k vertices (KTAU_MAX) are
+    checked before anything is allocated.
     """
     if not poly.validated:
         poly = validate(poly)
@@ -261,9 +265,11 @@ def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     A = _table_cap(tau, D)
     if A > TABLE_MAX:
         raise ValueError(f"tau = {tau} needs an S table of {A} entries, above TABLE_MAX = {TABLE_MAX} (D = {D})")
-    k = len(poly.vertices)
-    if k * tau > KTAU_MAX:
-        raise ValueError(f"k * tau = {k} * {tau} is above KTAU_MAX = {KTAU_MAX}: too many edge floor sums")
+    k, work = len(poly.vertices), max(tau, -(-D // tau))
+    if k * work > KTAU_MAX:
+        raise ValueError(
+            f"k * max(tau, D / tau) = {k} * {work} is above KTAU_MAX = {KTAU_MAX}: too many floor sums or wedge tests"
+        )
     phis = precompute_tail(poly, tau).phis
     split = bisect_left(phis, -A, key=neg)  # phis[:split] > A
     far = [phi - 1 for phi in phis[:split]]

@@ -7,6 +7,7 @@ an identity.
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from hypothesis import assume
@@ -207,6 +208,32 @@ def totient_sieve(limit):
             for m in range(p, limit + 1, p):
                 phi[m] -= phi[m] // p
     return phi
+
+
+def totient_summatory(n):
+    """1 + phi(1) + ... + phi(n) = |F_n|, from sum_{d<=v} Phi(v // d) = v(v+1)/2.
+
+    Phi(v) is read from totient_sieve below about n^(2/3) and found above it
+    by that recursion over the distinct quotients v // d, each run of equal
+    quotients taken at once.
+    """
+    low = list(accumulate(totient_sieve(max(1, round(n ** (2 / 3))))))
+    memo = {}
+
+    def big_phi(v):
+        if v < len(low):
+            return low[v]
+        if v not in memo:
+            total, d = v * (v + 1) // 2, 2
+            while d <= v:
+                w = v // d
+                d_hi = v // w
+                total -= (d_hi - d + 1) * big_phi(w)
+                d = d_hi + 1
+            memo[v] = total
+        return memo[v]
+
+    return 1 + big_phi(n)
 
 
 def mertens_naive(limit):

@@ -1,4 +1,5 @@
 import ast
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,8 @@ import pytest
 import fareylattice
 from fareylattice import cli, geometry, primitive
 from fareylattice.cli import run
+
+from _oracles import nonconvex_star
 
 SQUARE22 = "-2 -2\n2 -2\n2 2\n-2 2\n"
 OCTAGON_D10K = [(5000, 0), (3535, 3535), (0, 5000), (-3535, 3535), (-5000, 0), (-3535, -3535), (0, -5000), (3535, -3535)]
@@ -227,6 +230,23 @@ class TestInputErrors:
         code, out, err = invoke(capsys, "primitive", "--poly", square_file, "--tau", "4")
         assert (code, out) == (2, "")
         assert "KTAU_MAX = 12" in err
+
+    def test_refuses_many_tail_wedge_tests(self, capsys, tmp_path, monkeypatch):
+        # 10^4 vertices at D = 999,582 with tau = ceil(D / TAIL_SIDE_MAX):
+        # k * tau = 3.73*10^6 passes, but the tail scan would make about
+        # k * D / tau = 2.68*10^7 wedge tests (tau = 1000 at D / tau = 1000
+        # took 33 s), so it is refused before the tail is built
+        star = nonconvex_star(random.Random(1), 10**6, 10**4)
+        D = geometry.diameter_bound(star)
+        tau = -(-D // primitive.TAIL_SIDE_MAX)
+        assert len(star.vertices) * tau <= primitive.KTAU_MAX < len(star.vertices) * -(-D // tau)
+        path = tmp_path / "star.poly"
+        path.write_text("".join(f"{x} {y}\n" for x, y in star.vertices))
+        built = []
+        monkeypatch.setattr(primitive, "precompute_tail", lambda *args: built.append(args))
+        code, out, err = invoke(capsys, "primitive", "--poly", str(path), "--tau", str(tau))
+        assert (code, out, built) == (2, "", [])
+        assert "KTAU_MAX = 10000000" in err and "wedge tests" in err
 
     def test_missing_poly_file(self, capsys, tmp_path):
         assert run(["lattice", "--poly", str(tmp_path / "nope.poly")]) == 2

@@ -3,6 +3,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from _oracles import (
     mertens_naive,
     statistic_bisect,
     totient_sieve,
+    totient_summatory,
 )
 
 ALL_TIERS = (rank_brute, rank_pawlewicz, rank_improved)
@@ -51,7 +53,7 @@ def fresh_statistic_table():
 
 @pytest.fixture
 def rank_passes(monkeypatch):
-    """The x of every _rank_pass call, the size pass of a table build included."""
+    """The x of every _rank_pass call."""
     calls = []
     rank_pass = farey._rank_pass
 
@@ -265,10 +267,12 @@ class TestMertensTable:
     M = mertens_naive(PASS_DIV * 42**2)
 
     def check(self, n):
-        # coef[w - 1] = M(n // w) - M(s) for w <= U, and the d <= s in two
-        # lists by the sign of mu(d), stored as n // d + 1
+        # coef[w - 1] = M(n // w) - M(s) for w <= U, read as the consecutive
+        # differences of pre, and the d <= s in two lists by the sign of
+        # mu(d), stored as n // d + 1
         M = self.M
-        plus, minus, coef = _mertens_table(n)
+        plus, minus, pre, _ = _mertens_table(n)
+        coef = list(map(sub, pre[1:], pre[:-1]))
         s = isqrt(n // PASS_DIV)
         assert list(coef) == [M[n // w] - M[s] for w in range(1, n // (s + 1) + 1)], n
         for sign, got in ((1, plus), (-1, minus)):
@@ -296,6 +300,37 @@ class TestMertensTable:
             for n in (t * t - 1, t * t, t * (t + 1) - 1, t * (t + 1)):
                 if n >= 1:
                     self.check(n)
+
+    def test_size_is_one_plus_the_totient_sum(self):
+        # |F_n| is kept in the table in closed form, with no pass
+        totients = list(accumulate(totient_sieve(1999)))
+        for n in range(1, 2000):
+            assert _mertens_table(n)[3] == 1 + totients[n], n
+        assert [totient_summatory(n) for n in (1, 2, 1000, 1999)] == [1 + totients[n] for n in (1, 2, 1000, 1999)]
+        assert _mertens_table(10**7 + 19)[3] == totient_summatory(10**7 + 19)
+
+    def test_rank_is_symmetric_about_one_half(self):
+        # a pass runs at x <= 1/2 and takes 1 - x as |F_n| + 1 - rank(x),
+        # so check the identity at every member, and at both halves
+        for n in (1, 2, 5, 24, 25, 26, 60):
+            members = farey_members(n)
+            for position, f in enumerate(members, start=1):
+                assert rank_improved(f, n) == position, (n, f)
+                assert rank_improved(f, n) + rank_improved(1 - f, n) == len(members) + 1, (n, f)
+
+    def test_rank_matches_pawlewicz_at_the_turns_of_the_pass(self):
+        # at 1/2 and a hair either side of it, below 1/U where the Beatty
+        # sum is empty (J = 0) and at 1/U where it has one term, and where
+        # the member just below x is 1/2 itself
+        eps = Fraction(1, 10**15)
+        half = Fraction(1, 2)
+        for n in (2, 3, 24, 25, 26, 99, 1000, 4097, 10**5 + 3, 2 * 10**6 + 1):
+            u = n // (isqrt(n // PASS_DIV) + 1)
+            a, b, c, d = _neighbours(half, n)
+            xs = [half, half - eps, half + eps, Fraction(1, u + 1), Fraction(1, u), Fraction(1, u) - eps]
+            xs += [(half + Fraction(c, d)) / 2, Fraction(c, d) - eps, 1 - Fraction(1, u + 1)]
+            for x in xs:
+                assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
 
     def test_rank_matches_pawlewicz_at_large_n(self):
         rng = random.Random(17)
@@ -524,9 +559,9 @@ class TestStatistic:
             assert farey._statistic_table.cache_info()[:2] == (1, 1)  # hits, misses
 
     def test_two_rank_calls(self, rank_passes):
-        # the size call, kept with the table, and one interpolated probe for
-        # each of 50 seeded k: once the table is built, one pass per query,
-        # measured, and the bound the counter enforces
+        # one interpolated probe for each of 50 seeded k: once the table,
+        # which holds |F_n|, is built, one pass per query, measured, and the
+        # bound the counter enforces
         n = 10**5
         size = rank_improved(Fraction(1), n)
         statistic(1, n)

@@ -512,11 +512,14 @@ class TestPrimitiveCount:
             reaches_tail(monkeypatch, poly)
 
     def test_edge_sum_bound_is_inclusive(self, monkeypatch):
+        # D = 6: k * max(tau, ceil(D / tau)) is 4 * 3 at tau = 2 and 3, and
+        # 4 * 4 at tau = 4, 4 * 6 at tau = 1
         sq = square2()
         monkeypatch.setattr(primitive, "KTAU_MAX", 4 * 3)
-        assert primitive_count(sq, tau=3) == 16
-        with pytest.raises(ValueError, match="KTAU_MAX = 12"):
-            primitive_count(sq, tau=4)
+        assert primitive_count(sq, tau=3) == primitive_count(sq, tau=2) == 16
+        for tau in (4, 1):
+            with pytest.raises(ValueError, match="KTAU_MAX = 12"):
+                primitive_count(sq, tau=tau)
 
     @pytest.mark.parametrize(
         "D,k,tau",
