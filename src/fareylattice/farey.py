@@ -24,7 +24,7 @@ answers each x = p/q in one pass of floor sums and one Beatty sum,
 about x*U C-level reads. F_n is symmetric about 1/2, so rank(x) +
 rank(1 - x) = |F_n| + 1 for x in F_n, and the pass runs only at x <= 1/2.
 The order statistic narrows an exact rank bracket by such passes, probing
-at short denominators where a pass is cheaper, then walks the next-term
+at members of F_n near where interpolation puts k, then walks the next-term
 recurrence of F_n to the k-th member; it keeps the last n's table, so a run
 of queries at one n builds it once.
 """
@@ -39,7 +39,7 @@ from itertools import accumulate, chain, compress, islice, repeat, tee
 from math import comb, gcd, isqrt
 from operator import add, floordiv, sub
 
-from .exactmath import _floor_sum_ap, _iroot_round, _mobius
+from .exactmath import _floor_sum_ap, _iroot, _mobius
 
 __all__ = [
     "rank_brute",
@@ -57,12 +57,6 @@ BRUTE_LIMIT = 10_000
 # and 1.4-1.7 s at 10^10 and 66.8 MiB; its Mertens table grows like n^(2/3),
 # to about 1 GB at 10^12.
 N_MAX = 10**10
-# Cost in ns per element of the two halves of _mertens_table, mu up to k with its
-# running sum and the rest of W: SIEVE_NS * k and BLOCK_NS * n / sqrt(k), least in sum at
-# k = (BLOCK_NS * n / (2 * SIEVE_NS))^(2/3). Now 70-120 and 170-190 ns on the same machine,
-# but k scaled by 1.2-1.4 at n = 10^6..2.56*10^8 saved under 2%, and by 0.5 cost 15-20%.
-SIEVE_NS = 180
-BLOCK_NS = 350
 # The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV);
 # measured as above, 16..36 time within 15% of each other, 4 or 144 up to 50% slower.
 PASS_DIV = 25
@@ -73,15 +67,10 @@ PASS_DIV = 25
 # 9..21 paired runs, 256 once 1.27 (x = 1 at 10^8).
 FLOOR_GAP = 64
 # statistic stops probing once k is this many members from an end of its
-# bracket and walks the rest. On the same machine a walk step costs 0.13-0.25
-# us and a probe, one x pass at the short denominators statistic probes at,
-# 0.11 ms at n = 10^5 and 0.40 ms at 10^6 (about 800 and 3,000 steps),
-# against 0.12-0.14 and 0.43 ms at denominator 4n^2. A probe moves by up to
-# WALK_MAX/64 members to reach a short denominator, and the walk then takes
-# 160 steps on average at 10^6; moving by up to WALK_MAX/4 made the query
-# slower because the longer walk cost more than the probe saved. In 20
-# paired rounds of 200 queries at 10^6, 2^12 and 2^13 beat 2^14 in 11 and 9
-# (0.50 against 0.51, 0.449 against 0.452 ms a query), and 2^15 in 4.
+# bracket and walks the rest. On the same machine a walk step costs 0.14-0.18
+# us and a probe pass 0.12 ms at n = 10^5 and 0.41 ms at 10^6; a query at
+# 10^6 makes one pass and walks 92 steps on average. In 10 interleaved rounds
+# of 300 queries at 10^6, no power of two from 2^12 to 2^15 won more than 4.
 WALK_MAX = 2**14
 
 
@@ -245,11 +234,10 @@ def _rank_pass(x: Fraction, table: tuple) -> int:
 
 
 def improved_cutoff(n: int) -> int:
-    """The cost-balancing k, about 0.98 * n^(2/3), clamped to [isqrt(n), n]."""
+    """floor(n^(2/3)), where the sieve's k steps and the block recursion's n / sqrt(k) are of one order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = _iroot_round(n * n * BLOCK_NS**2 // (4 * SIEVE_NS**2), 3)
-    return min(n, max(isqrt(n), k))
+    return _iroot(n * n, 3)
 
 
 def rank_improved(x: Fraction | int, n: int) -> int:
@@ -302,25 +290,6 @@ def _walk(a: int, b: int, c: int, d: int, n: int, steps: int) -> tuple:
     return a, b, c, d
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction of least denominator in [lo, hi], 0 <= lo <= hi.
-
-    Strips the shared integer part t of both ends and recurses on the
-    reciprocals of what is left, [1/(hi - t), 1/(lo - t)], composing the
-    partial quotients t into a matrix, until an integer lies in the
-    interval; the steps follow the continued fractions of the ends.
-    """
-    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    a, b, c, d = 1, 0, 0, 1  # the value is (a*y + b) / (c*y + d) for the y still to find
-    t = p // q
-    while t * q < p and (t + 1) * s > r:  # no integer in [p/q, r/s]
-        a, b, c, d = a * t + b, a, c * t + d, c
-        p, q, r, s = s, r - t * s, q, p - t * q
-        t = p // q
-    t += t * q < p
-    return Fraction(a * t + b, c * t + d)
-
-
 @lru_cache(maxsize=1)
 def _statistic_table(n: int) -> tuple:
     """_mertens_table(n), kept for the next statistic query at n.
@@ -336,12 +305,11 @@ def statistic(k: int, n: int) -> Fraction:
     Keeps the exact bracket rank(lo) <= k <= rank(hi) and probes where
     linear interpolation of the rank puts k: F_n has discrepancy at most
     1/n (Dress, JTNB 11, 1999), so from [0, 1] the first probe k/|F_n|
-    already lands near the answer. The probe is the simplest fraction
-    inside the bracket within WALK_MAX / (64 |F_n|) of that point, which
-    moves its rank by about WALK_MAX / 64 members at most; its short
-    denominator makes the pass cheaper (see WALK_MAX). It is the point
-    itself when that fraction is an end of the bracket. A probe that does
-    not halve the bracket's member count is followed by a midpoint probe.
+    already lands near the answer. The probe is the fraction nearest that
+    point with denominator at most n/8 + 1, a member of F_n whose pass needs
+    no neighbour search, or the point itself if that fraction is not inside
+    the bracket. A probe that does not halve the bracket's member count is
+    followed by a midpoint probe.
     Once k is within WALK_MAX members of an end, the answer is walked to
     exactly from that end's Farey neighbours.
 
@@ -355,12 +323,11 @@ def statistic(k: int, n: int) -> Fraction:
     if not 1 <= k <= size:
         raise ValueError(f"k must lie in [1, {size}] for n = {n}")
     lo, rlo, hi, rhi = Fraction(0), 1, Fraction(1), size
-    window = Fraction(WALK_MAX, 64 * size)
     halved = True
     while k - rlo > WALK_MAX and rhi - k > WALK_MAX:
         if halved:
             x = lo + (hi - lo) * (k - rlo) / (rhi - rlo)
-            short = _simplest_between(max(lo, x - window), min(hi, x + window))
+            short = x.limit_denominator(n // 8 + 1)
             if lo < short < hi:
                 x = short
         else:

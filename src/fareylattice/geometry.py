@@ -10,9 +10,11 @@ is star-shaped with respect to the origin.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from io import StringIO
 from math import gcd, isqrt, lcm
 
-from .exactmath import _floor_sum_ap, parse_fraction
+from .exactmath import DIGITS_MAX, _floor_sum_ap, parse_fraction
 
 __all__ = [
     "K_MAX",
@@ -35,6 +37,10 @@ __all__ = [
 # vertices and 25-28 s with 12-digit denominators on a 2-CPU Xeon with
 # Python 3.11.
 K_MAX = 10**4
+# Longest accepted line: a vertex of DIGITS_MAX-digit numbers takes at most
+# 4 * DIGITS_MAX + 5 characters. load_polygon reads a line no further, so a
+# file without line breaks, such as /dev/zero, is refused, not read whole.
+LINE_MAX = 5 * DIGITS_MAX
 
 
 class PolygonError(ValueError):
@@ -90,11 +96,18 @@ class Polygon:
 def parse_polygon(text: str) -> Polygon:
     """Parse the one-vertex-per-line format ``PX/QX PY/QY``.
 
-    Blank lines are skipped and ``#`` starts a comment line. Decimals and
-    anything else parse_fraction refuses are rejected.
+    Lines end at \\n, \\r or \\r\\n; blank ones are skipped, ``#`` starts a
+    comment line. Decimals, anything else parse_fraction refuses, and lines
+    longer than LINE_MAX are rejected.
     """
+    return _parse_lines(StringIO(text, newline=None))
+
+
+def _parse_lines(handle) -> Polygon:
     vertices = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(iter(partial(handle.readline, LINE_MAX + 1), ""), 1):
+        if len(raw) > LINE_MAX and raw[-1] != "\n":
+            raise PolygonError("line-too-long", f"line {lineno}: longer than LINE_MAX = {LINE_MAX} characters")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -112,9 +125,9 @@ def parse_polygon(text: str) -> Polygon:
 
 
 def load_polygon(path) -> Polygon:
-    """Read, parse and validate a polygon file."""
+    """Read, parse and validate a polygon file, one line at a time."""
     with open(path, "r", encoding="utf-8") as handle:
-        return validate(parse_polygon(handle.read()))
+        return validate(_parse_lines(handle))
 
 
 def _check_vertex_count(k: int) -> None:

@@ -168,6 +168,27 @@ class TestInputErrors:
         assert "bad-coordinate" in err and "line 1" in err and "DIGITS_MAX = 4300" in err
         assert "set_int_max_str_digits" not in err
 
+    def test_longest_vertex_lines_load(self, capsys, tmp_path):
+        # the square [-1, 1]^2 with every coordinate -N/N or N/N, N of
+        # DIGITS_MAX digits: four such numbers and some indent fit in LINE_MAX
+        big = "9" * 4300
+        path = tmp_path / "long.poly"
+        path.write_text("".join(f"    {x}{big}/{big}    {y}{big}/{big}\n" for x, y in ("--", "+-", "++", "-+")))
+        assert invoke(capsys, "lattice", "--poly", str(path)) == (0, "9\n", "")
+
+    @pytest.mark.parametrize("endless", [False, True], ids=["long-comment", "dev-zero"])
+    def test_refuses_line_above_limit(self, capsys, tmp_path, endless):
+        # a line is read no further than LINE_MAX + 1 characters, so neither
+        # an over-long comment nor a file without line breaks fills memory
+        path = Path("/dev/zero") if endless else tmp_path / "long.poly"
+        if not endless:
+            path.write_text(SQUARE22 + "#" * (geometry.LINE_MAX + 1) + "\n")
+        elif not path.exists():
+            pytest.skip("no /dev/zero")
+        code, out, err = invoke(capsys, "lattice", "--poly", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"line-too-long: line {1 if endless else 5}:") and "LINE_MAX = 21500" in err
+
     def test_digit_limit_is_inclusive(self, capsys):
         assert invoke(capsys, "rank", "--n", "0" * 4299 + "4", "--x", "1/" + "0" * 4299 + "2") == (0, "4\n", "")
 

@@ -19,7 +19,6 @@ from fareylattice.farey import (
     _check_query,
     _mertens_table,
     _neighbours,
-    _simplest_between,
     _walk,
     improved_cutoff,
     rank_brute,
@@ -244,6 +243,11 @@ class TestImprovedCutoff:
         assert improved_cutoff(10**6) > 10**3
         assert improved_cutoff(10**9) > improved_cutoff(10**6)
 
+    def test_is_the_floor_cube_root_of_n_squared(self):
+        for n in list(range(1, 5000)) + [10**9, 10**10]:
+            k = improved_cutoff(n)
+            assert k**3 <= n * n < (k + 1) ** 3, n
+
     def test_never_below_isqrt(self):
         # the quotient sums of rank_improved need every S_w with w <= isqrt(n)
         for n in list(range(1, 5000)) + [10**6, 10**9, 10**12]:
@@ -284,7 +288,7 @@ class TestMertensTable:
 
     def test_where_the_split_and_cutoff_move(self):
         # s steps at n = PASS_DIV * j^2 (and is 0 below PASS_DIV, where U = n);
-        # the cutoff clamps to n, then to isqrt(n), then to neither
+        # the cutoff floor(n^(2/3)) meets n at n = 1 and isqrt(n) at n = 2, 4, 5
         ns = [PASS_DIV * j * j + e for j in range(1, 42) for e in (-1, 0, 1)]
         clamp = {n: (improved_cutoff(n) == n, improved_cutoff(n) == isqrt(n)) for n in range(1, 5001)}
         ns += [m for n in range(2, 5001) if clamp[n] != clamp[n - 1] for m in (n - 1, n)]
@@ -558,11 +562,11 @@ class TestStatistic:
             assert messages == [f"k must lie in [1, {size}] for n = 100"] * 2
             assert farey._statistic_table.cache_info()[:2] == (1, 1)  # hits, misses
 
-    def test_two_rank_calls(self, rank_passes):
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_two_rank_calls(self, rank_passes, n):
         # one interpolated probe for each of 50 seeded k: once the table,
         # which holds |F_n|, is built, one pass per query, measured, and the
         # bound the counter enforces
-        n = 10**5
         size = rank_improved(Fraction(1), n)
         statistic(1, n)
         rng = random.Random(4242)
@@ -572,44 +576,3 @@ class TestStatistic:
             got = statistic(k, n)
             assert len(rank_passes) <= 1
             assert rank_pawlewicz(got, n) == k
-
-
-class TestSimplestBetween:
-    @staticmethod
-    def brute(a, c):
-        # the least b with ceil(a*b) <= floor(c*b), and that least numerator
-        b = 1
-        while -(-a.numerator * b // a.denominator) > c.numerator * b // c.denominator:
-            b += 1
-        return Fraction(-(-a.numerator * b // a.denominator), b)
-
-    def test_matches_brute_on_random_intervals(self):
-        rng = random.Random(12)
-        for _ in range(3000):
-            a, c = sorted(Fraction(rng.randint(0, q), q) for q in (rng.randint(1, 400), rng.randint(1, 400)))
-            assert _simplest_between(a, c) == self.brute(a, c), (a, c)
-
-    def test_narrow_intervals_with_long_denominators(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            den = rng.randrange(10**5, 10**6)
-            a = Fraction(rng.randrange(den), den)
-            c = a + Fraction(1, rng.randrange(10**3, 10**6))
-            if c <= 1:
-                assert _simplest_between(a, c) == self.brute(a, c), (a, c)
-
-    def test_degenerate_and_integer_ends(self):
-        for a in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 17), Fraction(999, 1000)):
-            assert _simplest_between(a, a) == a
-        assert _simplest_between(Fraction(0), Fraction(1)) == 0
-        assert _simplest_between(Fraction(0), Fraction(1, 5)) == 0
-        assert _simplest_between(Fraction(4, 5), Fraction(1)) == 1
-        assert _simplest_between(Fraction(1, 7), Fraction(1)) == 1
-
-    def test_ends_that_are_the_answer(self):
-        # an end is the answer when nothing simpler lies between
-        assert _simplest_between(Fraction(1, 2), Fraction(3, 5)) == Fraction(1, 2)
-        assert _simplest_between(Fraction(2, 5), Fraction(1, 2)) == Fraction(1, 2)
-        assert _simplest_between(Fraction(1, 3), Fraction(2, 5)) == Fraction(1, 3)
-        assert _simplest_between(Fraction(3, 10), Fraction(1, 3)) == Fraction(1, 3)
-        assert _simplest_between(Fraction(2, 7), Fraction(3, 10)) == Fraction(2, 7)

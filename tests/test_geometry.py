@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fareylattice import geometry
 from fareylattice.geometry import (
+    LINE_MAX,
     Polygon,
     PolygonError,
     contains,
@@ -173,6 +174,7 @@ class TestParse:
     def test_comments_and_blanks(self):
         text = "# a square\n\n-2 -2\n2 -2\n  # middle comment\n2 2\n-2 2\n\n"
         assert len(parse_polygon(text).vertices) == 4
+        assert parse_polygon(text.replace("\n", "\r\n")) == parse_polygon(text.replace("\n", "\r")) == parse_polygon(text)
 
     @pytest.mark.parametrize(
         "text,violation",
@@ -185,6 +187,7 @@ class TestParse:
             ("２ 1\n2 2\n3 3\n", "bad-coordinate"),  # a full-width digit
             ("", "too-few-vertices"),
             ("# only comments\n", "too-few-vertices"),
+            ("1 1\n" + " " * LINE_MAX + "2 2\n3 3\n", "line-too-long"),
         ],
     )
     def test_rejects(self, text, violation):
