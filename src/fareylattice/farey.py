@@ -11,7 +11,7 @@ and rank = S_n(x) + 1 puts 0/1 back. A quadratic reference loop evaluates
 it as it stands; the n^(3/4) tier takes S_v(x) for v <= sqrt(n) from one
 Moebius sieve, and Moebius inversion over the d <= n / (sqrt(n) + 1), whose
 quotients floor(n/d) lie above sqrt(n), leaves one term per squarefree d:
-a floor sum less a pass over the sieve. Inversion over every d gives
+a floor sum less two C-level maps of sieve reads. Inversion over every d gives
 S_n(x) = sum_d mu(d) * F(floor(n/d), x)
 with F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens
 function at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5,
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat, tee
 from math import comb, gcd, isqrt
-from operator import add, floordiv, sub
+from operator import add, floordiv, mul, sub
 
 from .exactmath import _floor_sum_ap, _iroot, _mobius
 
@@ -60,11 +60,10 @@ N_MAX = 10**10
 # The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV);
 # measured as above, 16..36 time within 15% of each other, 4 or 144 up to 50% slower.
 PASS_DIV = 25
-# Longest gap between the quotients of consecutive squarefree d that
-# rank_pawlewicz sums term by term; one floor_sum call costs 20..400 terms.
-# Timed against 64 on the same machine at n = 10^6, 10^8 and 2.56*10^8 and
-# three x, gaps of 32..256 took 0.92..1.10 times as long in the median of
-# 9..21 paired runs, 256 once 1.27 (x = 1 at 10^8).
+# Longest gap between the quotients of consecutive squarefree d whose floors
+# rank_pawlewicz sums term by term, not by one floor sum of 10..40 Euclid steps.
+# Timed against 64 on the same machine at n = 10^6, 10^8, 2.56*10^8 and x golden,
+# 12-digit, 1: 16..256 took 0.97..1.05 times as long (median of 9 rounds).
 FLOOR_GAP = 64
 # statistic stops probing once k is this many members from an end of its
 # bracket and walks the rest. On the same machine a walk step costs 0.14-0.18
@@ -106,28 +105,21 @@ def sieved_prefix(x: Fraction | int, k: int) -> list:
     S_i - S_{i-1} = sum_{d | i} mu(d) * floor((i/d) * x), so the increments
     start as f[j] = floor(j*x) and each squarefree d >= 2 adds mu(d) * f[j]
     to position d*j with one slice assignment (Deleglise and Rivat, Exp.
-    Math. 5, 1996). O(k lg k) element operations, all of them C-level.
+    Math. 5, 1996); a d > k/2 adds mu(d) * floor(x) at d alone, so only x = 1
+    needs them, in one map. O(k lg k) element operations, all of them C-level.
     """
     x = _check_query(x, k)
     p, q = x.numerator, x.denominator
     c = [j * p // q for j in range(k + 1)]
-    f = c[: k // 2 + 1]
+    h = k // 2 or 1  # each d > h has d >= 2 and 2d > k
+    f = c[: h + 1]
     mu = _mobius(k)
-    for d in compress(range(2, k + 1), islice(mu, 2, None)):
+    for d in compress(range(2, h + 1), islice(mu, 2, None)):
         c[d::d] = map(add if mu[d] > 0 else sub, c[d::d], islice(f, 1, k // d + 1))
+    if x == 1:
+        c[h + 1 :] = map(add, islice(c, h + 1, None), islice(mu, h + 1, None))
     del f, mu
     return list(accumulate(islice(c, 1, None)))
-
-
-def _dense_sum(v: int, e: int, dense: list) -> int:
-    """sum_{e'=e}^{v} S_{v // e'}, one dense read per run of equal quotients."""
-    total = 0
-    while e <= v:
-        w = v // e
-        e_hi = v // w
-        total += (e_hi - e + 1) * dense[w]
-        e = e_hi + 1
-    return total
 
 
 def rank_pawlewicz(x: Fraction | int, n: int) -> int:
@@ -138,28 +130,34 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
     floor(n/(d*e))), and n // d > k exactly when d <= m = n // (k + 1), so
     the identity in the module docstring at v = n // d reads
     sum_{e: d*e <= m} S_{n//(d*e)} = G[d], with G[d] = F(v, x) minus the
-    S_{v//e} with v // e <= k, all read from dense. Moebius inversion over the
-    multiples of d in [1, m] gives S_n = sum_{d<=m} mu(d) * G[d], so only
-    the squarefree d need their G, taken in increasing order of v with
-    F(v, x) kept running across the d skipped in between.
+    S_{v//e} with e > v // (k + 1), all read from dense. Moebius inversion over
+    the multiples of d in [1, m] gives S_n = sum_{d<=m} mu(d) * G[d], over the
+    squarefree d by increasing v with F(v, x) kept running. The e <= r = isqrt(v)
+    are read one by one; the e > r are those with v // e <= W = v // (r + 1), so
+    Abel summation over c_w = S_w - S_{w-1} makes them sum_{w<=W} c_w * (v // w - r).
     """
     x = _check_query(x, n)
-    p, q = x.numerator, x.denominator
-    if not p:
+    if not x:
         return 1
+    if x.denominator > n:  # the member of F_n at or below x has the same floors up to n; x < 1/n keeps p > 0
+        x = Fraction(*_neighbours(x, n)[:2]) or x
+    p, q = x.numerator, x.denominator
     k = isqrt(n)
     dense = [0, *sieved_prefix(x, k)]
-    f = _floor_sum_ap(k + 1, q, p, 0)  # floor_sum(v, x), kept running
+    c = list(map(sub, islice(dense, 1, None), dense))  # c[w - 1] = c_w
     m = n // (k + 1)
     mu = _mobius(m)
     total = 0 if m else dense[n]
-    t = k
+    f = t = 0  # F(t, x), kept running
     for d in compress(range(m, 0, -1), mu[m:0:-1]):
         v = n // d
+        r = isqrt(v)
+        w = v // (r + 1)
         gap = range((t + 1) * p, v * p + 1, p)  # b*p for t < b <= v
-        f = _floor_sum_ap(v + 1, q, p, 0) if len(gap) > FLOOR_GAP else f + sum(map(floordiv, gap, repeat(q)))
+        f += _floor_sum_ap(len(gap), q, p, gap[0]) if len(gap) > FLOOR_GAP else sum(map(floordiv, gap, repeat(q)))
         t = v
-        total += mu[d] * (f - _dense_sum(v, v // (k + 1) + 1, dense))
+        above = sum(map(mul, c, map(floordiv, repeat(v), range(1, w + 1)))) - r * dense[w]  # sum_{e>r} S_{v//e}
+        total += mu[d] * (f - above - sum(map(dense.__getitem__, map(floordiv, repeat(v), range(v // (k + 1) + 1, r + 1)))))
     return total + 1
 
 

@@ -181,6 +181,18 @@ class TestPawlewiczAgainstOracles:
         for n in ns:
             assert rank_pawlewicz(Fraction(1), n) == totients[n] + 1, n
 
+    def test_where_the_abel_split_moves(self):
+        # n = d r^2 - 1, d r^2 and d r (r + 1) put v = n // d at r^2 - 1, r^2 and
+        # r^2 + r, where r = isqrt(v) and W = v // (r + 1) step
+        ds = [d for d in range(1, 31) if squarefree(d)]
+        rs = (*range(1, 26), 40, 64)
+        ns = sorted({n for d in ds for r in rs for n in (d * r * r - 1, d * r * r, d * r * (r + 1)) if n})
+        for x in (Fraction(1), Fraction(1, 2), golden_x(), Fraction(387420489123, 999999999989)):
+            prefix = divisor_sieve_prefix(x, 10**4)
+            for n in ns:
+                want = prefix[n - 1] + 1 if n <= 10**4 else rank_improved(x, n)
+                assert rank_pawlewicz(x, n) == want, (n, x)
+
 
 class TestSievedPrefix:
     def test_totient_prefix(self):
@@ -207,6 +219,13 @@ class TestSievedPrefix:
     )
     def test_matches_divisor_sieve(self, k, x):
         assert sieved_prefix(x, k) == divisor_sieve_prefix(x, k)
+
+    def test_every_k_below_300(self):
+        # every k pins where the slice loop stops (k // 2) and the x = 1 tail past it
+        for x in (Fraction(0), Fraction(1, 2), Fraction(1), golden_x(), Fraction(387420489123, 999999999989)):
+            want = divisor_sieve_prefix(x, 299)
+            for k in range(1, 300):
+                assert sieved_prefix(x, k) == want[:k], (k, x)
 
     def test_pawlewicz_reads_one_sieve_below_isqrt(self, monkeypatch):
         calls = []
