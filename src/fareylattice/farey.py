@@ -139,11 +139,13 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
     x = _check_query(x, n)
     if not x:
         return 1
-    if x.denominator > n:  # the member of F_n at or below x has the same floors up to n; x < 1/n keeps p > 0
-        x = Fraction(*_neighbours(x, n)[:2]) or x
+    if x.denominator > n:  # the member of F_n at or below x has the same floors up to n
+        x = Fraction(*_neighbours(x, n)[:2])
     p, q = x.numerator, x.denominator
     k = isqrt(n)
     dense = [0, *sieved_prefix(x, k)]
+    if not p:  # 0 < x < 1/n
+        return 1
     c = list(map(sub, islice(dense, 1, None), dense))  # c[w - 1] = c_w
     m = n // (k + 1)
     mu = _mobius(m)
