@@ -31,7 +31,7 @@ def main() -> None:
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--algo", default="pawlewicz")
+    parser.add_argument("--algo", choices=["pawlewicz", "improved"], default="pawlewicz")
     args = parser.parse_args()
     fits = {"old": [], "new": []}
     trees = [("old", args.old_src), ("new", args.new_src)]

@@ -10,8 +10,8 @@ the unreduced count sum_{b<=n} floor(b*x) groups by gcd into
 and rank = S_n(x) + 1 puts 0/1 back. A quadratic reference loop evaluates
 it as it stands; the n^(3/4) tier takes S_v(x) for v <= sqrt(n) from one
 Moebius sieve, and Moebius inversion over the d <= n / (sqrt(n) + 1), whose
-quotients floor(n/d) lie above sqrt(n), leaves one term per squarefree d:
-a floor sum less two C-level maps of sieve reads. Inversion over every d gives
+quotients v = floor(n/d) lie above sqrt(n), leaves one term per squarefree d:
+F(v, x) below, less about 2 sqrt(v) sieve reads. Inversion over every d gives
 S_n(x) = sum_d mu(d) * F(floor(n/d), x)
 with F(v, x) = sum_{b<=v} floor(b*x), whose costly part, the Mertens
 function at the quotients floor(n/d) (Deleglise and Rivat, Exp. Math. 5,
@@ -32,7 +32,7 @@ of queries at one n builds it once.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat, tee
@@ -60,10 +60,10 @@ N_MAX = 10**10
 # The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV);
 # measured as above, 16..36 time within 15% of each other, 4 or 144 up to 50% slower.
 PASS_DIV = 25
-# Longest gap between the quotients of consecutive squarefree d whose floors
-# rank_pawlewicz sums term by term, not by one floor sum of 10..40 Euclid steps.
-# Timed against 64 on the same machine at n = 10^6, 10^8, 2.56*10^8 and x golden,
-# 12-digit, 1: 16..256 took 0.97..1.05 times as long (median of 9 rounds).
+# rank_pawlewicz sums floor(b*x) term by term up to V = isqrt(FLOOR_GAP * n), where the
+# quotients n // d of consecutive squarefree d lie about 1.6 * FLOOR_GAP apart, and above V
+# takes a floor sum per gap. Timed against 64 as above at n = 10^6, 10^8, 2.56*10^8, x golden,
+# 12-digit and 1: 16..256 took 0.94..1.22 times as long (median of 9 interleaved rounds).
 FLOOR_GAP = 64
 # statistic stops probing once k is this many members from an end of its
 # bracket and walks the rest. On the same machine a walk step costs 0.14-0.18
@@ -104,20 +104,20 @@ def sieved_prefix(x: Fraction | int, k: int) -> list:
     Inverting the identity in the module docstring gives
     S_i - S_{i-1} = sum_{d | i} mu(d) * floor((i/d) * x), so the increments
     start as f[j] = floor(j*x) and each squarefree d >= 2 adds mu(d) * f[j]
-    to position d*j with one slice assignment (Deleglise and Rivat, Exp.
-    Math. 5, 1996); a d > k/2 adds mu(d) * floor(x) at d alone, so only x = 1
-    needs them, in one map. O(k lg k) element operations, all of them C-level.
+    at d*j (Deleglise and Rivat, Exp. Math. 5, 1996): one slice assignment per
+    d <= s = isqrt(k), and for the d > s, whose j are at most k // (s + 1), one
+    per j with f[j] != 0. O(k lg k) element operations, all of them C-level.
     """
     x = _check_query(x, k)
     p, q = x.numerator, x.denominator
     c = [j * p // q for j in range(k + 1)]
-    h = k // 2 or 1  # each d > h has d >= 2 and 2d > k
-    f = c[: h + 1]
+    f = c[: k // 2 + 1]
     mu = _mobius(k)
-    for d in compress(range(2, h + 1), islice(mu, 2, None)):
+    s = isqrt(k)
+    for d in compress(range(2, s + 1), islice(mu, 2, None)):
         c[d::d] = map(add if mu[d] > 0 else sub, c[d::d], islice(f, 1, k // d + 1))
-    if x == 1:
-        c[h + 1 :] = map(add, islice(c, h + 1, None), islice(mu, h + 1, None))
+    for j in compress(range(1, k // (s + 1) + 1), islice(f, 1, None)):
+        c[(s + 1) * j :: j] = map(add, c[(s + 1) * j :: j], map(mul, mu[s + 1 : k // j + 1], repeat(f[j])))
     del f, mu
     return list(accumulate(islice(c, 1, None)))
 
@@ -131,10 +131,14 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
     the identity in the module docstring at v = n // d reads
     sum_{e: d*e <= m} S_{n//(d*e)} = G[d], with G[d] = F(v, x) minus the
     S_{v//e} with e > v // (k + 1), all read from dense. Moebius inversion over
-    the multiples of d in [1, m] gives S_n = sum_{d<=m} mu(d) * G[d], over the
-    squarefree d by increasing v with F(v, x) kept running. The e <= r = isqrt(v)
-    are read one by one; the e > r are those with v // e <= W = v // (r + 1), so
-    Abel summation over c_w = S_w - S_{w-1} makes them sum_{w<=W} c_w * (v // w - r).
+    the multiples of d in [1, m] gives S_n = sum_{d<=m} mu(d) * G[d] over the
+    squarefree d. With r = isqrt(v) the e <= r are read one by one, and Abel
+    summation over c_w = S_w - S_{w-1} gives sum_{e>r} S_{v//e} =
+    sum_{w<=r} c_w * (v // w) - r * S_r. The d <= s = n // (V + 1), V =
+    isqrt(FLOOR_GAP * n), take F(v, x) by a floor sum over the gap from the last v
+    and their reads as two maps each; the d > s take F(v, x) from one running sum
+    of floor(b*x), b <= V, at the member of F_V at or below x, and their reads per
+    e and sign of mu, as two maps over the v >= e^2.
     """
     x = _check_query(x, n)
     if not x:
@@ -142,24 +146,34 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
     if x.denominator > n:  # the member of F_n at or below x has the same floors up to n
         x = Fraction(*_neighbours(x, n)[:2])
     p, q = x.numerator, x.denominator
-    k = isqrt(n)
+    k, m = isqrt(n), n // (isqrt(n) + 1)
     dense = [0, *sieved_prefix(x, k)]
-    if not p:  # 0 < x < 1/n
-        return 1
+    if not (p and m):  # 0 < x < 1/n, or n = 1; past the sieve, so that each x > 0 makes one sieve call
+        return 1 + (p and dense[n])
     c = list(map(sub, islice(dense, 1, None), dense))  # c[w - 1] = c_w
-    m = n // (k + 1)
     mu = _mobius(m)
-    total = 0 if m else dense[n]
-    f = t = 0  # F(t, x), kept running
-    for d in compress(range(m, 0, -1), mu[m:0:-1]):
+    V = isqrt(FLOOR_GAP * n)
+    s = min(n // (V + 1), m)
+    sel = mu[m:s:-1]  # the d > s by increasing v
+    at = bytearray(V + 1)  # marks their v
+    total = 0
+    for sign in (1, -1):
+        vs = list(map(floordiv, repeat(n), compress(range(m, s, -1), map(sign.__eq__, sel))))
+        any(map(at.__setitem__, vs, repeat(1)))
+        rs, rd = tee(map(isqrt, vs))
+        total += sign * sum(map(mul, rs, map(dense.__getitem__, rd)))
+        for e in range(1, isqrt(vs[-1]) + 1 if vs else 1):
+            i = bisect_left(vs, e * e)  # the v >= e^2 have r >= e; those below e * (k + 1) read S_{v//e}
+            total -= sign * (c[e - 1] * sum(map(floordiv, islice(vs, i, None), repeat(e))) + sum(map(dense.__getitem__, map(floordiv, islice(vs, i, bisect_left(vs, e * (k + 1))), repeat(e)))))
+    a, b = _neighbours(x, V)[:2]
+    floors = map(floordiv, range((k + 1) * a, (V + 1) * a, a or 1), repeat(b))  # none if a = 0: all F(v, x) are 0
+    total += sum(map(mul, compress(accumulate(floors, initial=_floor_sum_ap(k + 1, b, a, 0)), islice(at, k, None)), compress(sel, sel)))
+    f, t = _floor_sum_ap(V + 1, q, p, 0), V  # F(t, x), kept running
+    for d in compress(range(s, 0, -1), mu[s:0:-1]):
         v = n // d
         r = isqrt(v)
-        w = v // (r + 1)
-        gap = range((t + 1) * p, v * p + 1, p)  # b*p for t < b <= v
-        f += _floor_sum_ap(len(gap), q, p, gap[0]) if len(gap) > FLOOR_GAP else sum(map(floordiv, gap, repeat(q)))
-        t = v
-        above = sum(map(mul, c, map(floordiv, repeat(v), range(1, w + 1)))) - r * dense[w]  # sum_{e>r} S_{v//e}
-        total += mu[d] * (f - above - sum(map(dense.__getitem__, map(floordiv, repeat(v), range(v // (k + 1) + 1, r + 1)))))
+        f, t = f + _floor_sum_ap(v - t, q, p, (t + 1) * p), v
+        total += mu[d] * (f + r * dense[r] - sum(map(mul, c, map(floordiv, repeat(v), range(1, r + 1)))) - sum(map(dense.__getitem__, map(floordiv, repeat(v), range(v // (k + 1) + 1, r + 1)))))
     return total + 1
 
 

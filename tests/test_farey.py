@@ -183,7 +183,7 @@ class TestPawlewiczAgainstOracles:
 
     def test_where_the_abel_split_moves(self):
         # n = d r^2 - 1, d r^2 and d r (r + 1) put v = n // d at r^2 - 1, r^2 and
-        # r^2 + r, where r = isqrt(v) and W = v // (r + 1) step
+        # r^2 + r, where r = isqrt(v) and v // (r + 1) step
         ds = [d for d in range(1, 31) if squarefree(d)]
         rs = (*range(1, 26), 40, 64)
         ns = sorted({n for d in ds for r in rs for n in (d * r * r - 1, d * r * r, d * r * (r + 1)) if n})
@@ -192,6 +192,17 @@ class TestPawlewiczAgainstOracles:
             for n in ns:
                 want = prefix[n - 1] + 1 if n <= 10**4 else rank_improved(x, n)
                 assert rank_pawlewicz(x, n) == want, (n, x)
+
+    @pytest.mark.parametrize("gap", [1, 4, 10**5])
+    def test_any_split_between_per_d_and_per_e(self, monkeypatch, gap):
+        # FLOOR_GAP = 1 puts V = isqrt(n): every d goes one by one with a floor sum;
+        # 10^5 puts V >= n: every d goes per e, F from the running sum alone
+        monkeypatch.setattr(farey, "FLOOR_GAP", gap)
+        ns = [*range(1, 120), 1000, 4095, 4096, 4097, 9999, 10**4]
+        for x in (Fraction(1), Fraction(1, 2), Fraction(1, 10**5), golden_x(), Fraction(387420489123, 999999999989)):
+            prefix = divisor_sieve_prefix(x, 10**4)
+            for n in ns:
+                assert rank_pawlewicz(x, n) == prefix[n - 1] + 1, (n, x)
 
 
 class TestSievedPrefix:
@@ -221,7 +232,8 @@ class TestSievedPrefix:
         assert sieved_prefix(x, k) == divisor_sieve_prefix(x, k)
 
     def test_every_k_below_300(self):
-        # every k pins where the slice loop stops (k // 2) and the x = 1 tail past it
+        # every k pins where the slice loop per d stops (isqrt(k)) and the loop per j
+        # that adds the larger d, which at x = 1 reaches d > k / 2 through j = 1
         for x in (Fraction(0), Fraction(1, 2), Fraction(1), golden_x(), Fraction(387420489123, 999999999989)):
             want = divisor_sieve_prefix(x, 299)
             for k in range(1, 300):
