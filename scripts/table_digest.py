@@ -33,7 +33,8 @@ ns = [*range(1, 3000), *(rng.randrange(1, 10**7) for _ in range(300)), 10**8, 2 
 ks = sorted({*range(3000), *map(improved_cutoff, ns)})
 tables, sieves = hashlib.sha256(), hashlib.sha256()
 for n in ns:
-    plus, minus, pre, size = _mertens_table(n)
+    vs, signs, pre, size = _mertens_table(n)
+    plus, minus = ([v for v, sign in zip(vs, signs) if sign == want][::-1] for want in (1, -1))
     coef = list(map(sub, islice(pre, 1, None), pre))
     tables.update(pickle.dumps((n, plus, minus, coef)))
     if size != rank_pawlewicz(1, n):

@@ -52,13 +52,14 @@ __all__ = [
 ]
 
 BRUTE_LIMIT = 10_000
-# Largest n any query accepts. Measured on a 2-CPU Xeon with Python 3.11,
-# rank_improved at golden x takes 0.25-0.27 s at n = 10^9 and 26.7 MiB peak RSS,
-# and 1.4-1.7 s at 10^10 and 66.8 MiB; its Mertens table grows like n^(2/3),
+# Largest n any query accepts. Measured on a 2-CPU Xeon with Python 3.11, in fresh
+# processes, rank_improved at golden x takes 0.19-0.28 s at n = 10^9 and 27.1 MiB peak
+# RSS, and 0.89-1.19 s at 10^10 and 66.8 MiB; its Mertens table grows like n^(2/3),
 # to about 1 GB at 10^12.
 N_MAX = 10**10
-# The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV);
-# measured as above, 16..36 time within 15% of each other, 4 or 144 up to 50% slower.
+# The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV). Whole queries
+# as above at x golden, 12-digit, 1, 3/7 and n = 10^6, 1.6*10^7, 2.56*10^8 (median of 9 rounds):
+# 2..36 took 0.92-1.12 times as long as 25, 64 up to 1.14 and 144 1.13-1.28.
 PASS_DIV = 25
 # rank_pawlewicz sums floor(b*x) term by term up to V = isqrt(FLOOR_GAP * n), where the
 # quotients n // d of consecutive squarefree d lie about 1.6 * FLOOR_GAP apart, and above V
@@ -178,17 +179,18 @@ def rank_pawlewicz(x: Fraction | int, n: int) -> int:
 
 
 def _mertens_table(n: int) -> tuple:
-    """The x-independent part of rank at n: (plus, minus, pre, size) for _rank_pass.
+    """The x-independent part of rank at n: (vs, signs, pre, size) for _rank_pass.
 
-    In S_n(x) = sum_d mu(d) F(n // d) the squarefree d <= s are kept as
-    n // d + 1 by the sign of mu(d), and the d > s, grouped by w = n // d <=
-    U = n // (s + 1), give sum_{w<=U} floor(w*x) W[w], kept as the prefix sums
-    pre[w] = W[1] + ... + W[w] that _rank_pass reads; at x = 1 that sum is
+    In S_n(x) = sum_d mu(d) F(n // d) the squarefree d <= s are kept as vs, their
+    n // d + 1 in increasing order, with signs, their mu(d); the d > s, grouped by
+    w = n // d <= U = n // (s + 1), give sum_{w<=U} floor(w*x) W[w], kept as the prefix
+    sums pre[w] = W[1] + ... + W[w] that _rank_pass reads; at x = 1 that sum is
     U*pre[U] - sum(pre[:U]), and F(v, 1) = v(v+1)/2, so size = |F_n| comes in
-    closed form. W[j] = M(n // j) - M(s), j <= max(isqrt(n*m), U), m = n // (k + 1), is
+    closed form. W[j] = M(n // j) - M(s), j <= J = max(isqrt(n*m), U), m = n // (k + 1), is
     filled from one running sum of mu up to k = improved_cutoff(n) started at
-    -M(s): a gather from its first t + 1 values where n // j <= t = isqrt(n), its
-    values at n // j for the other j > m, and for the d <= m, by
+    -M(s): where n // j <= t = isqrt(n), one run of its value at w per distinct
+    w = n // j, over the j in (n // (w + 1), n // w]; its values at n // j for the
+    other j > m; and for the d <= m, by
     sum_{e<=v} M(v // e) = 1 at v = n // d > k, r = isqrt(v), q = v // (r + 1),
     W[d] = 1 - sum(W[2d : d*q + 1 : d]) - sum_{w<=r} mu(w) (v//w) + q (M(r) - M(s)):
     n // (d*e) = v // e (d*q < sqrt(n*d)) for e <= q, Abel summation for the rest.
@@ -204,7 +206,9 @@ def _mertens_table(n: int) -> tuple:
     any(map(at.__setitem__, map(floordiv, repeat(n), range(m + 1, t0 + 1)), repeat(1)))
     mid = list(map(same, *tee(compress(acc, islice(at, t + 1, None)))))
     del at
-    far = map(low.__getitem__, map(floordiv, repeat(n), range(t0 + 1, max(isqrt(n * m), n // (s + 1)) + 1)))
+    J, w = max(isqrt(n * m), n // (s + 1)), n // (t0 + 1)  # j in (t0, J] has n // j <= w
+    ends = tee(chain(map(floordiv, repeat(n), range(w + 1, n // J, -1)), (J,)))  # n // (w + 1) = t0
+    far = chain.from_iterable(map(repeat, map(low.__getitem__, range(w, n // J - 1, -1)), map(sub, islice(ends[1], 1, None), ends[0])))
     W = list(chain(repeat(0, m + 1), reversed(mid), far))
     plus, minus = (list(compress(range(t + 1), map(sign.__eq__, mu))) for sign in (1, -1))
     for d in range(m, 0, -1):
@@ -219,9 +223,11 @@ def _mertens_table(n: int) -> tuple:
             + q * low[r]
         )
     pre = array("q", accumulate(islice(W, 1, n // (s + 1) + 1), initial=0))
-    plus, minus = ([n // d + 1 for d in islice(ds, bisect_right(ds, s))] for ds in (plus, minus))
-    size = 1 + sum(map(comb, plus, repeat(2))) - sum(map(comb, minus, repeat(2))) + len(pre) * pre[-1] - sum(pre)
-    return plus, minus, pre, size
+    del W, plus, minus
+    vs = [n // d + 1 for d in compress(range(s, 0, -1), mu[s:0:-1])]
+    signs = array("b", filter(None, mu[s:0:-1]))
+    size = 1 + sum(map(mul, signs, map(comb, vs, repeat(2)))) + len(pre) * pre[-1] - sum(pre)
+    return vs, signs, pre, size
 
 
 def _rank_pass(x: Fraction, table: tuple) -> int:
@@ -229,12 +235,13 @@ def _rank_pass(x: Fraction, table: tuple) -> int:
 
     All of it is floor(b*x) at b <= n, which the member p/q of F_n at or just below x
     shares in smaller numbers. F_n is symmetric about 1/2, so for 2p > q the rank is
-    |F_n| + 1 - rank((q - p)/q), and the pass runs only at p/q <= 1/2. There
+    |F_n| + 1 - rank((q - p)/q), and the pass runs only at p/q <= 1/2. There F(v, x) at
+    the vs is one running sum of floor sums over their gaps (Euclid steps ~ log gap), and
     sum_{w<=U} floor(w*p/q) c_w = sum_{j<=J} sum_{w>=ceil(j*q/p)} c_w, J = floor(U*p/q),
     reads J <= U/2 prefix sums pre[ceil(j*q/p) - 1] with no multiply.
     """
-    plus, minus, pre, size = table
-    n = plus[0] - 1 if plus else len(pre) - 1  # d = 1 is in plus once s >= 1, and U = n before
+    vs, signs, pre, size = table
+    n = vs[-1] - 1 if vs else len(pre) - 1  # d = 1 comes last once s >= 1, and U = n before
     p, q = _neighbours(x, n)[:2] if x.denominator > n else (x.numerator, x.denominator)
     flip = 2 * p > q
     p = q - p if flip else p
@@ -242,8 +249,8 @@ def _rank_pass(x: Fraction, table: tuple) -> int:
     if p:
         J = (len(pre) - 1) * p // q
         r += J * pre[-1] - sum(map(pre.__getitem__, map(floordiv, range(q - 1, J * q, q), repeat(p))))
-        r += sum(map(_floor_sum_ap, plus, repeat(q), repeat(p), repeat(0)))
-        r -= sum(map(_floor_sum_ap, minus, repeat(q), repeat(p), repeat(0)))
+        starts = map(mul, chain((0,), vs), repeat(p))  # F(v, x) from the one before it
+        r += sum(map(mul, signs, accumulate(map(_floor_sum_ap, map(sub, vs, chain((0,), vs)), repeat(q), repeat(p), starts))))
     return size + 1 - r if flip else r
 
 
@@ -322,7 +329,8 @@ def statistic(k: int, n: int) -> Fraction:
     already lands near the answer. The probe is the fraction nearest that
     point with denominator at most n/8 + 1, a member of F_n whose pass needs
     no neighbour search, or the point itself if that fraction is not inside
-    the bracket. A probe that does not halve the bracket's member count is
+    the bracket or lies further than WALK_MAX / (64 |F_n|), about WALK_MAX / 64
+    members, from it. A probe that does not halve the bracket's member count is
     followed by a midpoint probe.
     Once k is within WALK_MAX members of an end, the answer is walked to
     exactly from that end's Farey neighbours.
@@ -342,7 +350,7 @@ def statistic(k: int, n: int) -> Fraction:
         if halved:
             x = lo + (hi - lo) * (k - rlo) / (rhi - rlo)
             short = x.limit_denominator(n // 8 + 1)
-            if lo < short < hi:
+            if lo < short < hi and abs(short - x) * size <= WALK_MAX // 64:
                 x = short
         else:
             x = (lo + hi) / 2

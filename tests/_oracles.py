@@ -255,6 +255,24 @@ def mertens_naive(limit):
     return M
 
 
+def mertens_sieve(limit):
+    """M[0..limit], the Mertens function: mu from a sieve of least prime factors, then prefix sums.
+
+    mu(v) = -mu(v / p) for the least prime p of v, or 0 when p^2 divides v.
+    """
+    least = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if least[p] == p:
+            for multiple in range(p * p, limit + 1, p):
+                if least[multiple] == multiple:
+                    least[multiple] = p
+    mu = [0, 1][: limit + 1] + [0] * (limit - 1)
+    for v in range(2, limit + 1):
+        rest = v // least[v]
+        mu[v] = 0 if rest % least[v] == 0 else -mu[rest]
+    return list(accumulate(mu))
+
+
 def lattice_scan(poly):
     """Bounding-box scan of integer points using exact membership."""
     xs = [v[0] for v in poly.vertices]

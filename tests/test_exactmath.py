@@ -16,7 +16,7 @@ from fareylattice.exactmath import (
     parse_fraction,
 )
 
-from _oracles import best_approximation_in, brute_floor_sum, mertens_naive, simplest_scan
+from _oracles import best_approximation_in, brute_floor_sum, mertens_naive, mertens_sieve, simplest_scan
 
 
 class TestParseFormat:
@@ -218,6 +218,12 @@ class TestMobius:
         mu = [0] + [M[v] - M[v - 1] for v in range(1, 10**5 + 1)]
         for k in [*range(2001), 10**5]:
             assert list(_mobius(k)) == mu[: k + 1], k
+
+    def test_the_two_mertens_oracles_agree(self):
+        # trial division against the least-prime sieve the larger table tests read
+        M = mertens_naive(10**5)
+        assert mertens_sieve(10**5) == M
+        assert [mertens_sieve(k) for k in range(30)] == [M[: k + 1] for k in range(30)]
 
 
 class TestIntegerRoots:

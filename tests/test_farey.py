@@ -34,6 +34,7 @@ from _oracles import (
     farey_members,
     farey_pairs,
     mertens_naive,
+    mertens_sieve,
     statistic_bisect,
     totient_sieve,
     totient_summatory,
@@ -301,12 +302,12 @@ class TestImprovedCutoff:
 class TestMertensTable:
     M = mertens_naive(PASS_DIV * 42**2)
 
-    def check(self, n):
+    def check(self, n, M=M):
         # coef[w - 1] = M(n // w) - M(s) for w <= U, read as the consecutive
-        # differences of pre, and the d <= s in two lists by the sign of
-        # mu(d), stored as n // d + 1
-        M = self.M
-        plus, minus, pre, _ = _mertens_table(n)
+        # differences of pre, and the d <= s as n // d + 1 by increasing
+        # value with the sign of mu(d), split here into two lists by that sign
+        vs, signs, pre, _ = _mertens_table(n)
+        plus, minus = ([v for v, sign in zip(vs, signs) if sign == want][::-1] for want in (1, -1))
         coef = list(map(sub, pre[1:], pre[:-1]))
         s = isqrt(n // PASS_DIV)
         assert list(coef) == [M[n // w] - M[s] for w in range(1, n // (s + 1) + 1)], n
@@ -316,6 +317,14 @@ class TestMertensTable:
     def test_every_n_to_2000(self):
         for n in range(1, 2001):
             self.check(n)
+
+    def test_seeded_n_to_a_million(self):
+        # runs of equal n // j fill W above isqrt(n); near j = n^(2/3) they are
+        # about n^(1/3) long, up to 100 entries here
+        M = mertens_sieve(10**6)
+        rng = random.Random(21)
+        for n in [10**6, *(rng.randint(10**5, 10**6) for _ in range(19))]:
+            self.check(n, M)
 
     def test_where_the_split_and_cutoff_move(self):
         # s steps at n = PASS_DIV * j^2 (and is 0 below PASS_DIV, where U = n);
@@ -366,6 +375,25 @@ class TestMertensTable:
             xs += [(half + Fraction(c, d)) / 2, Fraction(c, d) - eps, 1 - Fraction(1, u + 1)]
             for x in xs:
                 assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
+
+    def test_rank_where_the_first_gap_changes(self):
+        # s steps at n = PASS_DIV * j^2, where the pass gains the d = s whose
+        # v = n // s + 1 its first floor sum runs to; at x of 12-digit
+        # denominators, at 1/U where the Beatty sum gains its first term, and
+        # just below it, against the divisor-list oracle up to 10^4
+        rng = random.Random(21)
+        xs = [golden_x(), Fraction(1), Fraction(3, 7)]
+        xs += [Fraction(rng.randrange(den + 1), den) for den in (rng.randrange(10**11, 10**12) for _ in range(3))]
+        prefixes = [divisor_sieve_prefix(x, 10**4 + 1) for x in xs]
+        eps = Fraction(1, 10**15)
+        for j in (*range(1, 21), 31, 64, 200):
+            for n in (PASS_DIV * j * j - 1, PASS_DIV * j * j, PASS_DIV * j * j + 1):
+                u = n // (isqrt(n // PASS_DIV) + 1)
+                for x, prefix in zip(xs, prefixes):
+                    want = prefix[n - 1] + 1 if n <= 10**4 + 1 else rank_pawlewicz(x, n)
+                    assert rank_improved(x, n) == want, (n, x)
+                for x in (Fraction(1, u), Fraction(1, u) - eps, Fraction(1, u + 1)):
+                    assert rank_improved(x, n) == rank_pawlewicz(x, n), (n, x)
 
     def test_rank_matches_pawlewicz_at_large_n(self):
         rng = random.Random(17)
@@ -592,6 +620,23 @@ class TestStatistic:
                 messages.append(str(err.value))
             assert messages == [f"k must lie in [1, {size}] for n = 100"] * 2
             assert farey._statistic_table.cache_info()[:2] == (1, 1)  # hits, misses
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_snap_stays_near_the_interpolated_point(self, rank_passes, n):
+        # the first probe is (k - 1) / (|F_n| - 1), or the fraction of
+        # denominator at most n/8 + 1 nearest it when that lies within
+        # WALK_MAX / (64 |F_n|) of it; k next to 1/3, 1/2 and 2/5 and 300 seeded k
+        size = rank_improved(Fraction(1), n)
+        statistic(1, n)
+        rng = random.Random(5)
+        ks = [rank_improved(f, n) + dk for f in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)) for dk in (-WALK_MAX - 10**4, WALK_MAX + 10**4)]
+        for k in ks + [rng.randint(1, size) for _ in range(300)]:
+            rank_passes.clear()
+            got = statistic(k, n)
+            assert rank_pawlewicz(got, n) == k
+            if rank_passes:
+                x = Fraction(k - 1, size - 1)
+                assert rank_passes[0] == x or abs(rank_passes[0] - x) * size <= WALK_MAX // 64, k
 
     @pytest.mark.parametrize("n", [10**5, 10**6])
     def test_two_rank_calls(self, rank_passes, n):
