@@ -16,9 +16,10 @@ records the CPU, nproc, the Python version and the git commit of SRC, then:
 - statistic at n = 10^6 and 10^7: the table build, then 300 k drawn with
   --seed, timed one by one, as p50, p95, mean and x passes per query;
 - primitive_count of the regular octagon of diameter D = 10^4 .. 6.4*10^5
-  (doubling), the median of 5 timings each, with the fitted exponent.
+  (doubling; perfbench's workloads.octagon), the median of 5 timings
+  each, with the fitted exponent.
 
-Times are in seconds. About five minutes on a 2-CPU Xeon.
+Times are in seconds. The whole run takes one to two minutes on a 2-CPU Xeon.
 """
 
 import argparse
@@ -30,14 +31,14 @@ import statistics
 import subprocess
 import sys
 import time
-from fractions import Fraction
-from math import isqrt
 
 sys.path.insert(0, next((a for a in sys.argv[1:2] if not a.startswith("-")), "src"))
+sys.path.insert(1, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
 from fareylattice import Polygon, farey, primitive_count, validate  # noqa: E402
 from fareylattice.bench import fit_exponent, golden_x, run_grid  # noqa: E402
 from fareylattice.exactmath import _mobius  # noqa: E402
+from workloads import octagon  # noqa: E402
 
 RANK_NS = [10**6, 4 * 10**6, 16 * 10**6, 64 * 10**6, 256 * 10**6, 10**9]
 FIT_GRID = RANK_NS[:5]  # test_7's grid
@@ -133,17 +134,10 @@ def statistic_rows(queries: int, seed: int) -> list:
     return rows
 
 
-def octagon(D: int) -> Polygon:
-    """The regular octagon of diameter D about the origin, with integer vertices."""
-    R = D // 2
-    r = isqrt(R * R // 2)
-    return validate(Polygon([(Fraction(a), Fraction(b)) for a, b in [(R, 0), (r, r), (0, R), (-r, r), (-R, 0), (-r, -r), (0, -R), (r, -r)]]))
-
-
 def primitive_rows(reps: int) -> dict:
     rows = []
     for D in OCTAGON_DS:
-        poly = octagon(D)
+        poly = validate(Polygon(octagon(D)))
         primitive_count(poly)  # warm-up
         rows.append({"D": D, "s": median_time(reps, primitive_count, poly)})
     print(rows, file=sys.stderr, flush=True)
@@ -157,7 +151,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     result = {
-        "command": " ".join(["python", "scripts/bench_layers.py", *sys.argv[1:]]),
+        "command": f"python scripts/bench_layers.py {args.src} --out {os.path.basename(args.out)} --seed {args.seed}",
         "machine": machine(args.src),
         "rank": {"x": "golden_x()", "reps": REPS, "rows": rank_rows(REPS)},
         "fits": fits(FIT_RUNS),

@@ -249,7 +249,7 @@ def _rank_pass(x: Fraction, table: tuple) -> int:
     if p:
         J = (len(pre) - 1) * p // q
         r += J * pre[-1] - sum(map(pre.__getitem__, map(floordiv, range(q - 1, J * q, q), repeat(p))))
-        starts = map(mul, chain((0,), vs), repeat(p))  # F(v, x) from the one before it
+        starts = map(mul, chain((0,), vs), repeat(p))  # each gap starts at the v before it
         r += sum(map(mul, signs, accumulate(map(_floor_sum_ap, map(sub, vs, chain((0,), vs)), repeat(q), repeat(p), starts))))
     return size + 1 - r if flip else r
 
