@@ -53,8 +53,8 @@ __all__ = [
 
 BRUTE_LIMIT = 10_000
 # Largest n any query accepts. Measured on a 2-CPU Xeon with Python 3.11, in fresh
-# processes, rank_improved at golden x takes 0.19-0.28 s at n = 10^9 and 27.1 MiB peak
-# RSS, and 0.89-1.19 s at 10^10 and 66.8 MiB; its Mertens table grows like n^(2/3),
+# processes, rank_improved at golden x takes 0.18-0.20 s at n = 10^9 and 24.9 MiB peak
+# RSS, and 0.82-0.90 s at 10^10 and 62.8 MiB; its Mertens table grows like n^(2/3),
 # to about 1 GB at 10^12.
 N_MAX = 10**10
 # The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV). Whole queries
@@ -68,7 +68,7 @@ PASS_DIV = 25
 FLOOR_GAP = 64
 # statistic stops probing once k is this many members from an end of its
 # bracket and walks the rest. On the same machine a walk step costs 0.14-0.18
-# us and a probe pass 0.12 ms at n = 10^5 and 0.41 ms at 10^6; a query at
+# us and a probe pass 0.09 ms at n = 10^5 and 0.29 ms at 10^6; a query at
 # 10^6 makes one pass and walks 92 steps on average. In 10 interleaved rounds
 # of 300 queries at 10^6, no power of two from 2^12 to 2^15 won more than 4.
 WALK_MAX = 2**14
@@ -222,10 +222,12 @@ def _mertens_table(n: int) -> tuple:
             + sum(map(floordiv, repeat(v), islice(minus, bisect_right(minus, r))))
             + q * low[r]
         )
-    pre = array("q", accumulate(islice(W, 1, n // (s + 1) + 1), initial=0))
-    del W, plus, minus
     vs = [n // d + 1 for d in compress(range(s, 0, -1), mu[s:0:-1])]
     signs = array("b", filter(None, mu[s:0:-1]))
+    del plus, minus, low, mid, mu
+    W = W[: n // (s + 1) + 1]  # a copy: del W[U + 1:] would allocate a buffer for the removed tail
+    pre = list(accumulate(islice(W, 1, None), initial=0))
+    del W
     size = 1 + sum(map(mul, signs, map(comb, vs, repeat(2)))) + len(pre) * pre[-1] - sum(pre)
     return vs, signs, pre, size
 
@@ -315,7 +317,8 @@ def _walk(a: int, b: int, c: int, d: int, n: int, steps: int) -> tuple:
 def _statistic_table(n: int) -> tuple:
     """_mertens_table(n), kept for the next statistic query at n.
 
-    Shared by every caller, so nothing may mutate it; _rank_pass does not.
+    It holds about 0.2 MB at n = 10^6 and 21 MB at N_MAX, most of it the list pre;
+    shared by every caller, so nothing may mutate it, and _rank_pass does not.
     """
     return _mertens_table(n)
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -446,6 +447,36 @@ class TestMertensTable:
         for n, k in ((100, 1), (100, 3045), (7, 10), (7, 1), (10**5, 1234567), (10**5, 7), (100, 5)):
             assert rank_pawlewicz(statistic(k, n), n) == k
         assert built == [100, 7, 10**5, 100]
+
+    def test_statistic_leaves_its_kept_table_unchanged(self, rank_passes, fresh_statistic_table):
+        # every query at n reads one shared table, whose pre is a plain list: passes
+        # at x <= 1/2 and at x > 1/2 (read through the symmetry of F_n), k next to
+        # both ends and 40 seeded k leave it equal to a fresh build
+        n = 10**5
+        size = rank_improved(Fraction(1), n)
+        rng = random.Random(22)
+        ks = [1, 2, WALK_MAX + 2, size // 2 - 1, size // 2 + 2, size - WALK_MAX - 1, size - 1, size]
+        for k in ks + [rng.randint(1, size) for _ in range(40)]:
+            assert rank_pawlewicz(statistic(k, n), n) == k
+        assert min(rank_passes) <= Fraction(1, 2) < max(rank_passes)
+        assert farey._statistic_table.cache_info().misses == 1
+        vs, signs, pre, size = farey._statistic_table(n)
+        fresh = _mertens_table(n)
+        assert (vs, list(signs), list(pre), size) == (fresh[0], list(fresh[1]), list(fresh[2]), fresh[3])
+
+    def test_table_peak_memory_at_1e8(self):
+        # tracemalloc's peak over one _mertens_table(10**8), on a 2-CPU Xeon with
+        # Python 3.11.7: 2,897,957 bytes (2.76 MiB) when pre was an array('q') built
+        # after del W[U + 1:], 2.44 MiB with pre a list built from a copy of W's first
+        # U + 1 entries, after mu and the lists read only by the block recursion are
+        # freed. Cutting W with del, or keeping those lists alive, reads above the bound.
+        tracemalloc.start()
+        try:
+            _mertens_table(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_897_957, peak / 2**20
 
 
 class TestTotientSum:
