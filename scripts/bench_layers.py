@@ -1,4 +1,4 @@
-"""Write one BENCH JSON file: the rank layers, the tiers' fits, statistic and the octagon.
+"""Write one BENCH JSON file: the rank layers, the tiers' fits, statistic and primitive counts.
 
     python scripts/bench_layers.py [SRC] --out BENCH.json [--seed 0]
 
@@ -17,9 +17,14 @@ records the CPU, nproc, the Python version and the git commit of SRC, then:
   --seed, timed one by one, as p50, p95, mean and x passes per query;
 - primitive_count of the regular octagon of diameter D = 10^4 .. 6.4*10^5
   (doubling; perfbench's workloads.octagon), the median of 5 timings
-  each, with the fitted exponent.
+  each, with the fitted exponent, and beside each row its tail layer,
+  primitive.precompute_tail at the default tau, the median of 5;
+- the same two timings for perfbench's non-convex star (workloads.star,
+  drawn with --seed) with k = 64 vertices and 12-digit denominators at
+  D = 10^5, and for the 10^4-vertex star with integer vertices at D = 10^5,
+  whose primitive_count is the median of 3 (it takes several seconds).
 
-Times are in seconds. The whole run takes one to two minutes on a 2-CPU Xeon.
+Times are in seconds. The whole run takes two to three minutes on a 2-CPU Xeon.
 """
 
 import argparse
@@ -37,13 +42,16 @@ sys.path.insert(1, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from fareylattice import Polygon, farey, primitive_count, validate  # noqa: E402
 from fareylattice.bench import fit_exponent, golden_x, run_grid  # noqa: E402
-from fareylattice.exactmath import _mobius  # noqa: E402
-from workloads import octagon  # noqa: E402
+from fareylattice.exactmath import _iroot_round, _mobius  # noqa: E402
+from fareylattice.geometry import diameter_bound  # noqa: E402
+from fareylattice.primitive import precompute_tail  # noqa: E402
+from workloads import octagon, star  # noqa: E402
 
 RANK_NS = [10**6, 4 * 10**6, 16 * 10**6, 64 * 10**6, 256 * 10**6, 10**9]
 FIT_GRID = RANK_NS[:5]  # test_7's grid
 STATISTIC_NS = [10**6, 10**7]
 OCTAGON_DS = [10**4 * 2**i for i in range(7)]
+STARS = [(10**5, 64, 12), (10**5, 10**4, 0)]  # (D, k, denominator digits)
 REPS, FIT_RUNS, QUERIES = 5, 10, 300
 
 
@@ -134,14 +142,23 @@ def statistic_rows(queries: int, seed: int) -> list:
     return rows
 
 
-def primitive_rows(reps: int) -> dict:
-    rows = []
-    for D in OCTAGON_DS:
-        poly = validate(Polygon(octagon(D)))
-        primitive_count(poly)  # warm-up
-        rows.append({"D": D, "s": median_time(reps, primitive_count, poly)})
-    print(rows, file=sys.stderr, flush=True)
-    return {"octagon": rows, "exponent": fit_exponent((row["D"], row["s"]) for row in rows)}
+def primitive_row(D: int, poly: Polygon, reps: int, tail_reps: int) -> dict:
+    # primitive_count, and its tail layer at primitive_count's default tau
+    bound = diameter_bound(poly)
+    tau = min(bound, max(1, _iroot_round(bound**4, 7)))
+    primitive_count(poly)  # warm-up
+    row = {"D": D, "tau": tau, "s": median_time(reps, primitive_count, poly), "tail_s": median_time(tail_reps, precompute_tail, poly, tau)}
+    print(row, file=sys.stderr, flush=True)
+    return row
+
+
+def primitive_rows(reps: int, seed: int) -> dict:
+    rows = [primitive_row(D, validate(Polygon(octagon(D))), reps, reps) for D in OCTAGON_DS]
+    stars = []
+    for D, k, digits in STARS:
+        poly = validate(Polygon(star(random.Random(seed), D, k, digits)))
+        stars.append({"k": k, "den_digits": digits, "seed": seed, **primitive_row(D, poly, reps if k < 1000 else 3, reps)})
+    return {"octagon": rows, "exponent": fit_exponent((row["D"], row["s"]) for row in rows), "stars": stars}
 
 
 def main() -> None:
@@ -156,7 +173,7 @@ def main() -> None:
         "rank": {"x": "golden_x()", "reps": REPS, "rows": rank_rows(REPS)},
         "fits": fits(FIT_RUNS),
         "statistic": statistic_rows(QUERIES, args.seed),
-        "primitive": primitive_rows(REPS),
+        "primitive": primitive_rows(REPS, args.seed),
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)

@@ -33,8 +33,8 @@ __all__ = [
 # Largest accepted vertex count; validation is O(k). primitive_count also
 # bounds k*max(tau, D/tau) by primitive.KTAU_MAX = 10^7, so a 10^4-vertex
 # star, one vertex per angular sector, is accepted at its default tau up to
-# D = 1.78*10^5, where `fareylattice primitive` took 12-14 s with integer
-# vertices and 25-28 s with 12-digit denominators on a 2-CPU Xeon with
+# D = 1.78*10^5, where `fareylattice primitive` took 10 s with integer
+# vertices and 23-27 s with 12-digit denominators on a 2-CPU Xeon with
 # Python 3.11.
 K_MAX = 10**4
 # Longest accepted line: a vertex of DIGITS_MAX-digit numbers takes at most

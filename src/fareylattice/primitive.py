@@ -10,7 +10,7 @@ no coprimality class. Moebius inversion turns this into
     S(P) = sum_{d >= 1} mu(d) * (A(P/d) - 1).
 
 Shrink factors at or above a crossover tau push the polygon so far that the
-few surviving points are tabulated once, column by column, each with the
+few surviving points are tabulated once, wedge by wedge, each with the
 first shrink that pushes it out; S(P/j) for j >= tau is the number of those
 thresholds above j, and these counts fill one flat table S[j] that is zero
 below tau. The sum splits at tau. Below it only the squarefree d count,
@@ -32,7 +32,8 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, repeat
+from collections import namedtuple
+from itertools import compress, cycle, repeat
 from math import gcd
 from operator import floordiv, neg
 
@@ -70,41 +71,28 @@ D_MAX = 10**8
 TAIL_SIDE_MAX = -(-D_MAX // _iroot_round(D_MAX**4, 7))
 # Largest k * max(tau, ceil(D / tau)) accepted for k vertices: the dense half
 # makes about 0.61*tau lattice counts of k floor sums each, and the tail scan
-# about k*D/tau wedge tests. At the bound a 10^4-vertex star at D = 1.78*10^5
-# (default tau 1000) took 12-14 s with integer vertices and 25-28 s with
-# 12-digit denominators, 24-27 MiB, on a 2-CPU Xeon with Python 3.11; at
+# at most k*(D/tau + 1) column tests. At the bound a 10^4-vertex star at
+# D = 1.78*10^5 (default tau 1000) took 10 s with integer vertices and 23-27 s
+# with 12-digit denominators, 23-26 MiB, on a 2-CPU Xeon with Python 3.11; at
 # D = 10^8 it would take about half an hour, and the same star at D = 10^6
-# with tau = 1000 (D / tau = 1000) took 33 s. The default tau, about D^(4/7),
+# with tau = 1000 (D / tau = 1000) took 20 s. The default tau, about D^(4/7),
 # is below ceil(D / tau) only at D = 2 (tau = 1), so at the default tau the
 # bound refuses nothing that k * tau <= KTAU_MAX let through.
 KTAU_MAX = 10**7
 
 
 def _wedges(poly: Polygon) -> list:
-    # the edges a -> b of the cleared loop with cab = cross(a, b) > 0; an edge
-    # with cab = 0 runs through the origin and bounds no wedge. The ray
-    # through a point p of the closed wedge leaves the edge at the exact
-    # parameter t = cab / (m * cross(p, b - a)).
+    # the edges a -> b of the cleared loop, at scale m, with cab = cross(a, b)
+    # > 0; an edge with cab = 0 runs through the origin and bounds no wedge.
+    # The ray through a point p of the closed wedge leaves the edge at the
+    # exact parameter t = cab / (m * cross(p, b - a)).
     if not poly.validated:
         poly = validate(poly)
     return [
-        (ax, ay, bx, by, m * (bx - ax), m * (by - ay), cab)
+        (ax, ay, bx, by, m, m * (bx - ax), m * (by - ay), cab)
         for ax, ay, bx, by, m in poly._edges_cleared()
         if (cab := ax * by - ay * bx) > 0
     ]
-
-
-def _phi(wedges: list, x: int, y: int) -> int:
-    # 1 + the floor of the exit parameter of the ray through (x, y) != 0, or
-    # 0 when no wedge holds the point; the largest value over the wedges
-    # covers a point on a vertex direction or on a radial edge
-    best = -1
-    for ax, ay, bx, by, mdx, mdy, cab in wedges:
-        if ax * y - ay * x >= 0 and x * by - y * bx >= 0:
-            t = cab // (x * mdy - y * mdx)
-            if t > best:
-                best = t
-    return best + 1
 
 
 def phi_value(poly: Polygon, pt) -> int:
@@ -113,60 +101,60 @@ def phi_value(poly: Polygon, pt) -> int:
     pt must be a nonzero lattice point of poly. The origin lies in the
     kernel, so i*pt is in poly exactly while i <= t*, the exact parameter
     at which the ray through pt leaves poly, and the threshold is
-    floor(t*) + 1.
+    floor(t*) + 1. A point on a vertex direction or on a radial edge lies
+    in two wedges, and the larger threshold counts.
     """
-    if pt[0] == 0 and pt[1] == 0:
+    x, y = pt
+    if x == 0 and y == 0:
         raise ValueError("phi is not defined at the origin")
-    phi = _phi(_wedges(poly), pt[0], pt[1])
+    phi = 1 + max((cab // (x * mdy - y * mdx) for ax, ay, bx, by, _, mdx, mdy, cab in _wedges(poly) if ax * y - ay * x >= 0 and x * by - y * bx >= 0), default=0)
     if phi <= 1:
         raise ValueError("point is outside the polygon")
     return phi
 
 
-class ImplicitTail:
-    """Exit thresholds of the lattice points that survive the tau shrink.
-
-    phis holds phi_value(P, p), sorted descending, for every primitive
-    nonzero lattice point p of P/tau. A point is in P/i exactly when its
-    phi exceeds i, so counting entries above a threshold answers S(P/i)
-    for any i >= tau.
-    """
-
-    __slots__ = ("tau", "phis")
-
-    def __init__(self, tau: int, phis: list) -> None:
-        self.tau, self.phis = tau, phis
+# ImplicitTail(tau, phis): the exit thresholds of the lattice points that
+# survive the tau shrink. phis holds phi_value(P, p), sorted descending, for
+# every primitive nonzero lattice point p of P/tau. A point is in P/i exactly
+# when its phi exceeds i, so counting entries above a threshold answers
+# S(P/i) for any i >= tau.
+ImplicitTail = namedtuple("ImplicitTail", "tau phis")
 
 
 def precompute_tail(poly: Polygon, tau: int) -> ImplicitTail:
-    """Scan P/tau column by column and record the exit thresholds.
+    """Scan P/tau wedge by wedge and record the exit thresholds.
 
     A point p != 0 is in P/tau exactly when some wedge a -> b holds it with
     an exit parameter t >= tau, i.e. p lies in the triangle 0, a/tau, b/tau.
-    In a column x != 0 that is a closed y-interval cut out by three integer
-    half-plane tests, and along it x*mdy - y*mdx is an arithmetic
-    progression, so the wedge's thresholds phi = 1 + cab // (x*mdy - y*mdx)
-    come from one map over two ranges. The wedges' cones overlap only on
-    shared rays (a vertex direction, or a radial edge), where the largest
-    phi counts; such a ray meets the column at an end of both intervals, so
-    only the ends are merged with max. Then the coprime y are kept. The
-    column x = 0 holds only (0, 1) and (0, -1). The list is sorted from
-    largest down.
+    The wedges' cones of a valid polygon have disjoint interiors, and a ray
+    from the origin holds one primitive point, so every primitive point of
+    P/tau lies strictly inside one cone or is the primitive point of a
+    vertex ray. Each wedge scans the columns of its own triangle: in a
+    column, the points strictly inside the cone with t >= tau form a
+    y-interval cut out by three integer half-plane tests, its coprime y
+    repeat with period |x| (the whole interval at x = 0), and along it
+    x*mdy - y*mdx is an arithmetic progression, so the thresholds
+    phi = 1 + cab // (x*mdy - y*mdx) of the coprime y come from one map over
+    two ranges. Each wedge also gives the primitive point of each of its two
+    rays its threshold, and a ray shared by two wedges keeps the larger one.
+    The list is sorted from largest down.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    wedges = _wedges(poly)
-    x0, x1, y0, y1 = _lattice_box(poly, tau)
-    phis = [phi for y in (-1, 1) if (phi := _phi(wedges, 0, y)) > tau] if x0 <= 0 <= x1 else []
-    for x in range(x0, x1 + 1):
-        if x == 0:
-            continue
-        runs = []
-        for ax, ay, bx, by, mdx, mdy, cab in wedges:
-            # ax*y >= ay*x (p left of a), bx*y <= by*x (p right of b) and
-            # tau*mdx*y >= tau*x*mdy - cab (t >= tau), each c*y >= d
+    phis, rays = [], {}
+    for ax, ay, bx, by, m, mdx, mdy, cab in _wedges(poly):
+        # each ray's primitive point keeps the larger threshold of its wedges
+        for vx, vy in ((ax, ay), (bx, by)):
+            g = gcd(vx, vy)
+            ux, uy = vx // g, vy // g
+            rays[ux, uy] = max(rays.get((ux, uy), 0), 1 + cab // (ux * mdy - uy * mdx))
+        s = m * tau
+        y0, y1 = min(0, -(-ay // s), -(-by // s)), max(0, ay // s, by // s)
+        for x in range(min(0, -(-ax // s), -(-bx // s)), max(0, ax // s, bx // s) + 1):
+            # ax*y > ay*x (p strictly left of a), bx*y < by*x (strictly right
+            # of b) and tau*mdx*y >= tau*x*mdy - cab (t >= tau), each c*y >= d
             lo, hi = y0, y1
-            for c, d in ((ax, ay * x), (-bx, -by * x), (tau * mdx, tau * x * mdy - cab)):
+            for c, d in ((ax, ay * x + 1), (-bx, 1 - by * x), (tau * mdx, tau * x * mdy - cab)):
                 if c > 0:
                     lo = max(lo, -(-d // c))
                 elif c < 0:
@@ -175,24 +163,15 @@ def precompute_tail(poly: Polygon, tau: int) -> ImplicitTail:
                     hi = lo - 1
             if lo > hi:
                 continue
+            # gcd(x, y) == 1 repeats with period |x| in y; x = 0 has none
+            coprime = list(map({1}.__contains__, map(gcd, repeat(x), range(lo, hi + 1)[: abs(x) or None])))
             u = x * mdy - lo * mdx
             if mdx:
                 stop = u - (hi - lo + 1) * mdx
-                runs.append((lo, list(map(floordiv, range(cab + u, cab + stop, -mdx), range(u, stop, -mdx)))))
+                phis += map(floordiv, compress(range(cab + u, cab + stop, -mdx), cycle(coprime)), compress(range(u, stop, -mdx), cycle(coprime)))
             else:
-                runs.append((lo, [cab // u + 1] * (hi - lo + 1)))
-        if not runs:
-            continue
-        base = min(lo for lo, _ in runs)
-        col = [0] * (max(lo + len(run) for lo, run in runs) - base)
-        for lo, run in runs:
-            i = lo - base
-            run[0] = max(run[0], col[i])
-            run[-1] = max(run[-1], col[i + len(run) - 1])
-            col[i : i + len(run)] = run
-        # gcd(x, y) == 1 repeats with period |x| in y
-        period = list(map((1).__eq__, map(gcd, repeat(x), range(base, base + min(abs(x), len(col))))))
-        phis += filter(None, compress(col, period * (len(col) // abs(x) + 1)))
+                phis += compress(repeat(cab // u + 1, hi - lo + 1), cycle(coprime))
+    phis += [phi for phi in rays.values() if phi > tau]
     phis.sort(reverse=True)
     return ImplicitTail(tau=tau, phis=phis)
 

@@ -228,17 +228,35 @@ class TestPrecomputeTail:
         for tau in range(1, diameter_bound(poly) + 2):
             assert precompute_tail(poly, tau).phis == tail_scan(poly, tau), tau
 
-    def test_degenerate_corpus_covers_column_cases(self):
-        # the cases the column scan treats apart: the column x = 0, vertical
-        # wedge edges (mdx = 0), and radial edges (cab = 0) away from and
-        # toward the origin, vertical ones included; an inward radial edge
-        # on each side of x = 0 puts the shared ray at either end of an
-        # interval
+    def test_degenerate_corpus_covers_wedge_cases(self):
+        # the cases the wedge scan meets: a ray that bounds one wedge only (the
+        # origin on the boundary); a vertex ray two wedges share with different
+        # thresholds, which the larger must win (an inward radial edge, on each
+        # side of x = 0); a vertical ray (ax = 0) and a vertical wedge edge
+        # (mdx = 0); and the column x = 0 strictly inside a cone, scanned with
+        # the run as its coprime period. The radial edges (cab = 0) away from
+        # and toward the origin, vertical ones included, stay covered too.
         seen = set()
         for vertices in DEGENERATE.values():
             poly = validate(Polygon(vertices))
             if contains(poly, (0, 1)) or contains(poly, (0, -1)):
                 seen.add("x=0")
+            rays = {}
+            for ax, ay, bx, by, _, mdx, mdy, cab in primitive._wedges(poly):
+                for vx, vy in ((ax, ay), (bx, by)):
+                    g = gcd(vx, vy)
+                    u = (vx // g, vy // g)
+                    rays.setdefault(u, []).append(1 + cab // (u[0] * mdy - u[1] * mdx))
+                    if vx == 0:
+                        seen.add("vertical-ray")
+                for sign in (1, -1):
+                    if sign * ax > 0 > sign * bx and contains(poly, (0, sign)):
+                        seen.add("x=0-inside-cone")
+            for u, phis in rays.items():
+                if len(phis) == 1:
+                    seen.add("one-wedge-ray")
+                elif len(set(phis)) > 1:
+                    seen.add("shared-ray-two-phis" + ("-left" if u[0] < 0 else "-right" if u[0] > 0 else "-vertical"))
             for ax, ay, bx, by, _ in poly._edges_cleared():
                 if ax * by != ay * bx:
                     kind = "wedge"
@@ -247,7 +265,20 @@ class TestPrecomputeTail:
                 else:
                     kind = "through-origin"
                 seen.add(kind + ("-vertical" if ax == bx else "-left" if ax < 0 else "-right"))
-        assert seen >= {"x=0", "wedge-vertical", "outward-right", "inward-right", "inward-left", "outward-vertical", "inward-vertical"}
+        assert seen >= {
+            "one-wedge-ray",
+            "shared-ray-two-phis-left",
+            "shared-ray-two-phis-right",
+            "vertical-ray",
+            "wedge-vertical",
+            "x=0-inside-cone",
+            "x=0",
+            "outward-right",
+            "inward-right",
+            "inward-left",
+            "outward-vertical",
+            "inward-vertical",
+        }
 
     @settings(max_examples=40, deadline=None)
     @given(star_loops(), st.integers(1, 30))
