@@ -24,7 +24,7 @@ records the CPU, nproc, the Python version and the git commit of SRC, then:
   D = 10^5, and for the 10^4-vertex star with integer vertices at D = 10^5,
   whose primitive_count is the median of 3 (it takes several seconds).
 
-Times are in seconds. The whole run takes two to three minutes on a 2-CPU Xeon.
+Times are in seconds. The whole run takes about two minutes on a 2-CPU Xeon.
 """
 
 import argparse
