@@ -18,11 +18,14 @@ records the CPU, nproc, the Python version and the git commit of SRC, then:
 - primitive_count of the regular octagon of diameter D = 10^4 .. 6.4*10^5
   (doubling; perfbench's workloads.octagon), the median of 5 timings
   each, with the fitted exponent, and beside each row its tail layer,
-  primitive.precompute_tail at the default tau, the median of 5;
-- the same two timings for perfbench's non-convex star (workloads.star,
+  primitive.precompute_tail at the default tau, the median of 5, and its
+  lattice layer, geometry.count_lattice at every squarefree d below that
+  tau, the median of as many timings as the row's own;
+- the same three timings for perfbench's non-convex star (workloads.star,
   drawn with --seed) with k = 64 vertices and 12-digit denominators at
   D = 10^5, and for the 10^4-vertex star with integer vertices at D = 10^5,
-  whose primitive_count is the median of 3 (it takes several seconds).
+  whose primitive_count and lattice layer are the median of 3 (each takes
+  several seconds).
 
 Times are in seconds. The whole run takes about two minutes on a 2-CPU Xeon.
 """
@@ -36,15 +39,16 @@ import statistics
 import subprocess
 import sys
 import time
+from itertools import compress
 
 sys.path.insert(0, next((a for a in sys.argv[1:2] if not a.startswith("-")), "src"))
 sys.path.insert(1, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
 from fareylattice import Polygon, farey, primitive_count, validate  # noqa: E402
 from fareylattice.bench import fit_exponent, golden_x, run_grid  # noqa: E402
-from fareylattice.exactmath import _iroot_round, _mobius  # noqa: E402
-from fareylattice.geometry import diameter_bound  # noqa: E402
-from fareylattice.primitive import precompute_tail  # noqa: E402
+from fareylattice.exactmath import _mobius  # noqa: E402
+from fareylattice.geometry import count_lattice, diameter_bound  # noqa: E402
+from fareylattice.primitive import default_tau, precompute_tail  # noqa: E402
 from workloads import octagon, star  # noqa: E402
 
 RANK_NS = [10**6, 4 * 10**6, 16 * 10**6, 64 * 10**6, 256 * 10**6, 10**9]
@@ -142,12 +146,23 @@ def statistic_rows(queries: int, seed: int) -> list:
     return rows
 
 
+def lattice_layer(poly: Polygon, tau: int) -> None:
+    # primitive_count's dense layer: one lattice count per squarefree d < tau
+    for d in compress(range(tau), _mobius(tau - 1)):
+        count_lattice(poly, d)
+
+
 def primitive_row(D: int, poly: Polygon, reps: int, tail_reps: int) -> dict:
-    # primitive_count, and its tail layer at primitive_count's default tau
-    bound = diameter_bound(poly)
-    tau = min(bound, max(1, _iroot_round(bound**4, 7)))
+    # primitive_count, and its tail and lattice layers at primitive_count's default tau
+    tau = default_tau(diameter_bound(poly))
     primitive_count(poly)  # warm-up
-    row = {"D": D, "tau": tau, "s": median_time(reps, primitive_count, poly), "tail_s": median_time(tail_reps, precompute_tail, poly, tau)}
+    row = {
+        "D": D,
+        "tau": tau,
+        "s": median_time(reps, primitive_count, poly),
+        "tail_s": median_time(tail_reps, precompute_tail, poly, tau),
+        "lattice_s": median_time(reps, lattice_layer, poly, tau),
+    }
     print(row, file=sys.stderr, flush=True)
     return row
 

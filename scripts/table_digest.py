@@ -1,4 +1,4 @@
-"""Print SHA-256 digests of farey._mertens_table, exactmath._mobius and primitive.precompute_tail.
+"""Print SHA-256 digests of farey._mertens_table, exactmath._mobius, primitive.precompute_tail and geometry.count_lattice.
 
 Run it on two source trees to check that a change to any of them keeps its
 output exactly:
@@ -19,7 +19,9 @@ The third digest hashes precompute_tail(poly, tau).phis at primitive_count's
 default tau and at twice it, for perfbench's regular octagons at
 D = 10^4 * 2^i, i < 7, its seeded non-convex stars at D = 10^5 with k = 8, 64
 and 1000 vertices and 0 or 12 denominator digits, and Farey triangles at
-n = 10^4 and 2*10^5 with x = 1, 1/2, 617/999 and golden_x().
+n = 10^4 and 2*10^5 with x = 1, 1/2, 617/999 and golden_x(). The fourth
+hashes count_lattice(poly, i) on the same polygons for every i up to twice
+that tau.
 """
 
 import hashlib
@@ -34,10 +36,10 @@ from operator import sub
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
 sys.path.insert(1, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
-from fareylattice.exactmath import _iroot_round, _mobius  # noqa: E402
+from fareylattice.exactmath import _mobius  # noqa: E402
 from fareylattice.farey import _mertens_table, improved_cutoff, rank_pawlewicz  # noqa: E402
-from fareylattice.geometry import Polygon, diameter_bound, validate  # noqa: E402
-from fareylattice.primitive import precompute_tail  # noqa: E402
+from fareylattice.geometry import Polygon, count_lattice, diameter_bound, validate  # noqa: E402
+from fareylattice.primitive import default_tau, precompute_tail  # noqa: E402
 from workloads import golden_x, octagon, star, triangle  # noqa: E402
 
 rng = random.Random(0)
@@ -59,13 +61,15 @@ polygons = [
     *(star(star_rng, 10**5, k, digits) for k in (8, 64, 1000) for digits in (0, 12)),
     *(triangle(n, x) for n in (10**4, 2 * 10**5) for x in (Fraction(1), Fraction(1, 2), Fraction(617, 999), golden_x())),
 ]
-tails = hashlib.sha256()
+tails, lattice = hashlib.sha256(), hashlib.sha256()
 for vertices in polygons:
     poly = validate(Polygon(vertices))
     D = diameter_bound(poly)
-    tau = min(D, max(1, _iroot_round(D**4, 7)))
+    tau = default_tau(D)
     for t in (tau, 2 * tau):
         tails.update(pickle.dumps((vertices, t, precompute_tail(poly, t).phis)))
+    lattice.update(pickle.dumps((vertices, [count_lattice(poly, i) for i in range(1, 2 * tau + 1)])))
 print(f"{len(ns)} tables: {tables.hexdigest()}")
 print(f"{len(ks)} sieves: {sieves.hexdigest()}")
 print(f"{len(polygons)} tails: {tails.hexdigest()}")
+print(f"{len(polygons)} lattice counts: {lattice.hexdigest()}")

@@ -281,21 +281,19 @@ def totient_sum(n: int) -> int:
 def _neighbours(x: Fraction, n: int) -> tuple:
     """(a, b, c, d) with a/b <= x < c/d consecutive in F_n, for x >= 0.
 
-    Batched Stern-Brocot descent: from a/b = floor(x), c/d = floor(x) + 1,
-    each pass takes as many mediant steps toward x on one side as fit under
-    the denominator limit n, so the passes follow the continued fraction of
-    x and number O(lg n). c/d may pass 1/1, as (n + 1)/n does for x = 1.
+    x.limit_denominator(n) is x itself or one of x's two neighbours in F_n,
+    and the other one follows from b*c - a*d = 1 with b + d > n, which pins
+    b (or d) to one residue in (n - d, n] (or (n - b, n]). c/d may pass 1/1,
+    as (n + 1)/n does for x = 1.
     """
-    p, q = x.numerator, x.denominator
-    a, b, c, d = p // q, 1, p // q + 1, 1
-    while True:
-        left, right = p * b - a * q, c * q - p * d  # b*q*(x - a/b) >= 0, d*q*(c/d - x) > 0
-        j = min(left // right, (n - b) // d)
-        a, b, left = a + j * c, b + j * d, left - j * right
-        i = min((right - 1) // left if left else n, (n - d) // b)
-        c, d = c + i * a, d + i * b
-        if not (i or j):
-            return a, b, c, d
+    y = x.limit_denominator(n)
+    if y > x:
+        c, d = y.numerator, y.denominator
+        b = n - (n - pow(c, -1, d)) % d
+        return (b * c - 1) // d, b, c, d
+    a, b = y.numerator, y.denominator
+    d = n - (n + pow(a, -1, b)) % b
+    return a, b, (a * d + 1) // b, d
 
 
 def _walk(a: int, b: int, c: int, d: int, n: int, steps: int) -> tuple:

@@ -334,57 +334,41 @@ def _lattice_box(poly: Polygon, i: int = 1):
 
 def _edge_records(poly: Polygon):
     """count_lattice's per-edge data that does not depend on the scale i,
-    built once from the validated loop and cached on it: (sums, lines,
+    built once from the validated loop and cached on it: (sums, rises,
     corners), for edges a -> b cleared to scale m and read at s = m*i.
 
-    The rule: a boundary point counts unless a tiny down-right step from it
-    leaves the region. It leaves across an edge exactly when the edge is
-    out, its direction (dx, dy) > (0, 0), rightward or straight up; at a
-    vertex, when either edge is out at a left turn, both at a right one.
-
-    sums: (m, sign, lo, hi, mod, slope, e) per non-vertical edge, whose
-    floor sum of floor((slope*c + floor(e/s)) / mod) over the columns
-    lo <= s*c < hi enters with sign -1 if the edge is out, +1 if not.
-    lines: (m, h, start, span, q, inv) per out edge whose line
-    dy*x - dx*y = cab/s can have lattice solutions: h = cab/(m*g) with
-    g = gcd(dx, dy) is an integer, and i must divide it. Their x then runs
-    through x0 + t*q, q = dx/g, x0 = (h/i)*inv mod q with inv the inverse
-    of dy/g mod q; a vertical edge counts along y with q = 1, inv = 0. A
-    lattice point p inside the edge at scale i makes i*p one inside it at
-    scale 1, so only the edges that hold one at i = 1 get a record.
-    corners: gcd(a) = gcd(ax, ay)/m per integer vertex a whose step leaves
-    the region; it counts where i divides it.
+    sums: (m, lo, hi, mod, slope, cab, up) per non-vertical edge. A leftward
+    edge is a top and a rightward one a bottom, and both add
+    floor((cab/s - dy*c) / |dx|), plus 1 for a bottom, over their half-open
+    columns lo <= s*c < hi: the floor sum of floor((slope*c + floor(cab/s)
+    + up) / mod), with mod = |dx|, slope = -dy and up = |dx| for a bottom.
+    rises: (v, m, lo, hi) per upward vertical edge on x = v at i = 1; it
+    adds the points strictly inside it where i divides v.
+    corners: (v, delta) per vertex a with v = gcd(ax, ay)/m an integer; it
+    adds delta where i divides v, that is where a is a lattice point. The
+    sums miss a's column when neither edge takes it, the previous one
+    (pdx, pdy) ending there rightward or upward and the next starting there
+    leftward or upward (+1 at a left turn or straight up), and count it
+    twice when a top turns into a bottom at a right turn (-1).
     """
     if poly._records is None:
         edges = poly._edges_cleared()
-        sums, lines, corners = [], [], []
+        sums, rises, corners = [], [], []
         pax, pay, pbx, pby, _ = edges[-1]
         pdx, pdy = pbx - pax, pby - pay
-        pout = (pdx, pdy) > (0, 0)
         for ax, ay, bx, by, m in edges:
             dx, dy = bx - ax, by - ay
-            out = (dx, dy) > (0, 0)
-            cab = ax * by - ay * bx
             if dx:
-                sign = -1 if out else 1
-                sums.append((m, sign, min(ax, bx), max(ax, bx), abs(dx), -sign * dy, sign * cab))
-            if out:
-                g = gcd(dx, dy)
-                h, r = divmod(cab, m * g)
-                if r == 0:
-                    q = dx // g or 1
-                    start, span = (ax, dx) if dx else (ay, dy)
-                    inv = pow(dy // g, -1, q)
-                    lo = start - m * (h * inv % q)  # as in count_lattice at i = 1
-                    if (lo + span - 1) // (m * q) > lo // (m * q):
-                        lines.append((m, h, start, span, q, inv))
-            # a straight vertex has out == pout, since validate refuses fold-backs
-            if (pout or out) if pdx * dy - pdy * dx > 0 else (pout and out):
-                v, r = divmod(gcd(ax, ay), m)
-                if r == 0:
-                    corners.append(v)
-            pdx, pdy, pout = dx, dy, out
-        poly._records = sums, lines, corners
+                sums.append((m, min(ax, bx), max(ax, bx), abs(dx), -dy, ax * by - ay * bx, max(dx, 0)))
+            elif dy > 0 and ax % m == 0:
+                rises.append((ax // m, m, ay, by))
+            turn = pdx * dy - pdy * dx
+            delta = (pdx >= 0 >= dx and (turn, dy) > (0, 0)) - (pdx < 0 < dx and turn < 0)
+            v, r = divmod(gcd(ax, ay), m)
+            if delta and r == 0:
+                corners.append((v, delta))
+            pdx, pdy = dx, dy
+        poly._records = sums, rises, corners
     return poly._records
 
 
@@ -392,37 +376,30 @@ def count_lattice(poly: Polygon, i: int = 1) -> int:
     """Lattice points in the closed region of poly shrunk by i, via one
     floor sum per edge; i*pt in poly is the same test as point_in_scaled.
 
-    Signed column sums: each non-vertical edge contributes the sum of
-    floor(edge_y(c)) over its integer columns min_x <= c < max_x, negative
-    when the edge is out (rightward or straight up) and positive otherwise.
-    Top and bottom edges pair up per column, so what remains counts the
-    lattice points whose tiny down-right step stays in the region; the
-    boundary points whose step leaves it, on the out edges (an integer line
-    equation per edge) and at vertices, are added back. Every edge is read
-    at the integer scale s = m*i of its cleared form, so no Fraction is
-    made, and everything that does not depend on i comes from the polygon's
-    cached edge records: per scale an edge costs its first column, its
-    column count and one floor sum, plus a divisibility test by i where it
-    or its start vertex can hold lattice points.
+    Closed column counts: in each integer column every interval
+    [bottom, top] of the region holds floor(top) - ceil(bottom) + 1 points,
+    which its top and bottom edges add as one floor sum each over their
+    half-open columns; upward vertical edges and lattice vertices add what
+    those sums miss (see _edge_records). Every edge is read at the integer
+    scale s = m*i of its cleared form, so no Fraction is made, and all that
+    does not depend on i comes from the polygon's cached edge records: per
+    scale an edge costs its first column, its column count and one floor
+    sum.
     """
     if i < 1:
         raise ValueError("scale factor must be >= 1")
     if not poly.validated:
         poly = validate(poly)
-    sums, lines, corners = _edge_records(poly)
-    total = sum(v % i == 0 for v in corners)
-    for m, sign, lo, hi, mod, slope, e in sums:
-        # edge_y(c) = (s*dy*c - cab) / (s*dx) = (slope*c + e/s) / mod, and
-        # floor(e/s) may stand for e/s there, so the scale s drops out
+    sums, rises, corners = _edge_records(poly)
+    total = sum(delta for v, delta in corners if v % i == 0)
+    for m, lo, hi, mod, slope, cab, up in sums:
+        # floor(cab/s) may stand for cab/s inside the floor, so s drops out
         s = m * i
         c0 = -(-lo // s)
-        total += sign * _floor_sum_ap(-(-hi // s) - c0, mod, slope, slope * c0 + e // s)
-    for m, h, start, span, q, inv in lines:
-        if h % i == 0:
-            # count the t with start < s*(x0 + t*q) < start + span
-            s = m * i
-            lo = start - s * (h // i * inv % q)
-            total += (lo + span - 1) // (s * q) - lo // (s * q)
+        total += _floor_sum_ap(-(-hi // s) - c0, mod, slope, slope * c0 + cab // s + up)
+    for v, m, lo, hi in rises:
+        if v % i == 0:
+            total += (hi - 1) // (m * i) - lo // (m * i)
     return total
 
 

@@ -65,10 +65,17 @@ BRUTE_LIMIT = 5000
 # with Python 3.11 (D = 4*10^7: 1.9-2.6 s, 97 MiB); time and memory grow
 # about like D^(6/7).
 D_MAX = 10**8
+
+
+def default_tau(D: int) -> int:
+    """primitive_count's crossover for diameter bound D: D^(4/7) rounded, within [1, D]."""
+    return min(D, max(1, _iroot_round(D**4, 7)))
+
+
 # Longest tail side D / tau accepted from a tau override: the side the default
 # tau reaches at D_MAX. The tail holds about (D/tau)^2 points; at tau = 1 the
 # octagon took 0.4-0.5 s and 30 MiB at D = 2000, 1.5-2.1 s and 74 MiB at 4000.
-TAIL_SIDE_MAX = -(-D_MAX // _iroot_round(D_MAX**4, 7))
+TAIL_SIDE_MAX = -(-D_MAX // default_tau(D_MAX))
 # Largest k * max(tau, ceil(D / tau)) accepted for k vertices: the dense half
 # makes about 0.61*tau lattice counts of k floor sums each, and the tail scan
 # at most k*(D/tau + 1) column tests. At the bound a 10^4-vertex star at
@@ -207,7 +214,7 @@ def _table_cap(tau: int, D: int) -> int:
 
 # Longest S table accepted from a tau override: the cap the default tau
 # reaches at D_MAX, 7,196,860 int64 entries.
-TABLE_MAX = _table_cap(_iroot_round(D_MAX**4, 7), D_MAX)
+TABLE_MAX = _table_cap(default_tau(D_MAX), D_MAX)
 
 
 def primitive_count(poly: Polygon, tau: int | None = None) -> int:
@@ -236,7 +243,7 @@ def primitive_count(poly: Polygon, tau: int | None = None) -> int:
     if D > D_MAX:
         raise ValueError(f"diameter bound {D} exceeds D_MAX = {D_MAX}")
     if tau is None:
-        tau = min(D, max(1, _iroot_round(D ** 4, 7)))
+        tau = default_tau(D)
     elif not 1 <= tau <= D:
         raise ValueError("tau must be between 1 and the diameter bound")
     elif D > TAIL_SIDE_MAX * tau:

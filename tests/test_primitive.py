@@ -512,7 +512,7 @@ class TestPrimitiveCount:
             primitive_count(sq, tau=-(-D // 2) - 1)
 
     def test_tail_side_max_is_the_default_side_at_d_max(self):
-        tau = primitive._iroot_round(D_MAX**4, 7)
+        tau = primitive.default_tau(D_MAX)
         assert TAIL_SIDE_MAX == 2683 and (TAIL_SIDE_MAX - 1) * tau < D_MAX <= TAIL_SIDE_MAX * tau
 
     def test_refuses_long_table_override_before_the_tail(self, monkeypatch):
@@ -532,7 +532,7 @@ class TestPrimitiveCount:
             primitive_count(sq, tau=4)
 
     def test_table_max_is_the_default_cap_at_d_max(self):
-        tau = primitive._iroot_round(D_MAX**4, 7)
+        tau = primitive.default_tau(D_MAX)
         assert TABLE_MAX == primitive._table_cap(tau, D_MAX) == 7196860
 
     def test_refuses_many_edge_sums_before_the_tail(self, monkeypatch):
