@@ -24,6 +24,13 @@ __all__ = [
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _NEGATE = bytes(-i % 256 for i in range(256))  # a signed byte to its negation
 _PRIME_SIGN = b"\1\xff" + bytes(254)  # 0 (not prime) to 1, 1 (prime) to -1
+# _mobius negates the multiples j*p of the primes p > max(k // (COFACTOR_MAX + 1), COFACTOR_MIN) by one
+# XOR per j. Min of 7 at k = 10^4, 215,443, 4.64*10^6 on a 2-CPU Xeon, Python 3.11, against 8: 1 took
+# 1.57-1.80 times as long, 2 1.29-1.42, 4 1.08-1.13, 6 1.03-1.06 and 10..24 0.96-1.05. Against one slice
+# per prime (min of 11), the primes above isqrt(k) took 1.10-1.31 times as long at k = 11..100, and those
+# above 48..192 0.99-1.07 there and 0.61-1.04 at k = 150..2154.
+COFACTOR_MAX = 8
+COFACTOR_MIN = 64
 # Longest decimal integer accepted: CPython's int() refuses longer strings by
 # default, with advice to call sys.set_int_max_str_digits; checked first so
 # the refusal names the input instead.
@@ -110,15 +117,25 @@ def _iroot_round(m: int, e: int) -> int:
 
 
 def _mobius(k: int) -> memoryview:
-    """mu(0..k) as signed bytes: -1 at the primes and 1 at the other v >= 1, then per prime
-    p <= k/2 negate its other multiples and zero those of p^2; a larger prime has none up to k."""
+    """mu(0..k) as signed bytes: -1 at the primes and 1 at the other v >= 1, then negate the multiples
+    j*p, j >= 2, of each prime p and zero those of p^2. The primes p in (L, k/2], with
+    L = max(k // (COFACTOR_MAX + 1), COFACTOR_MIN) >= isqrt(k), have j <= COFACTOR_MAX: per j one XOR of
+    the strided slice mu[j*p] with their prime flags as 0xFE negates them all (1 ^ 0xFE = 0xFF); each
+    prime up to L negates its multiples as one slice."""
     r = isqrt(k)
     prime = bytearray(2) + b"\1" * (k - 1)
     for p in range(2, r + 1):
         if prime[p]:
             prime[p * p :: p] = bytes(len(range(p * p, k + 1, p)))
     mu = bytearray(1) + prime[1 : k + 1].translate(_PRIME_SIGN)
-    for p in compress(range(k // 2 + 1), prime):
+    L = min(max(k // (COFACTOR_MAX + 1), COFACTOR_MIN), k // 2)
+    flip = int.from_bytes(prime[L + 1 : k // 2 + 1], "little") * 0xFE  # no zero in mu yet for it to hit
+    del prime[L + 1 :]
+    for j in range(2, k // (L + 1) + 1):
+        size = k // j - L
+        mu[j * (L + 1) :: j] = (int.from_bytes(mu[j * (L + 1) :: j], "little") ^ flip & (1 << 8 * size) - 1).to_bytes(size, "little")
+    del flip
+    for p in compress(range(L + 1), prime):
         mu[2 * p :: p] = mu[2 * p :: p].translate(_NEGATE)
         if p <= r:
             mu[p * p :: p * p] = bytes(len(range(p * p, k + 1, p * p)))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -205,9 +206,12 @@ class TestBestApproximation:
 
 
 class TestMobius:
-    @pytest.mark.parametrize("k", [0, 1, 2, 4, 9, 30, 1000])
+    @pytest.mark.parametrize("k", [0, 1, 2, 4, 9, 30, 133, 134, 135, 584, 585, 586, 1000, *(9 * p + e for p in (67, 97, 1009) for e in (-1, 0, 1))])
     def test_matches_trial_division(self, k):
-        # k = 0 is the empty sieve primitive_count takes at tau = 1
+        # k = 0 is the empty sieve primitive_count takes at tau = 1; the primes p <= k/2 above
+        # max(k // (COFACTOR_MAX + 1), COFACTOR_MIN) are negated per cofactor: none below k = 134, where 67, the
+        # least prime above 64, enters; the bound is COFACTOR_MIN up to k = 584 and k // 9 from 585; k = 9p - 1
+        # puts p among them with cofactor 8 and k = 9p, 9p + 1 leave it out
         M = mertens_naive(k)
         assert list(_mobius(k)) == [0] + [M[v] - M[v - 1] for v in range(1, k + 1)]
 
@@ -218,6 +222,12 @@ class TestMobius:
         mu = [0] + [M[v] - M[v - 1] for v in range(1, 10**5 + 1)]
         for k in [*range(2001), 10**5]:
             assert list(_mobius(k)) == mu[: k + 1], k
+
+    def test_a_million_against_the_sieve_oracle(self):
+        # p = 111,119 is the least prime above 10^6 / 9: the cofactor split on both sides of it
+        M = mertens_sieve(9 * 111_119 + 1)
+        for k in (9 * 111_119 - 1, 9 * 111_119, 9 * 111_119 + 1):
+            assert list(accumulate(_mobius(k))) == M[: k + 1], k
 
     def test_the_two_mertens_oracles_agree(self):
         # trial division against the least-prime sieve the larger table tests read
