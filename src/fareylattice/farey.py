@@ -53,8 +53,8 @@ __all__ = [
 
 BRUTE_LIMIT = 10_000
 # Largest n any query accepts. Measured on a 2-CPU Xeon with Python 3.11, in fresh
-# processes, rank_improved at golden x takes 0.22-0.28 s at n = 10^9 and 24.6 MiB peak
-# RSS, and 1.16-1.22 s at 10^10 and 61.3 MiB; its Mertens table grows like n^(2/3),
+# processes, rank_improved at golden x takes 0.18-0.24 s at n = 10^9 and 24.9 MiB peak
+# RSS, and 0.82-1.14 s at 10^10 and 62.8 MiB; its Mertens table grows like n^(2/3),
 # to about 1 GB at 10^12.
 N_MAX = 10**10
 # The x pass makes a floor sum per squarefree d <= s = isqrt(n // PASS_DIV). Whole queries
@@ -66,11 +66,7 @@ PASS_DIV = 25
 # takes a floor sum per gap. Timed against 64 as above at n = 10^6, 10^8, 2.56*10^8, x golden,
 # 12-digit and 1: 16..256 took 0.94..1.22 times as long (median of 9 interleaved rounds).
 FLOOR_GAP = 64
-# _mertens_table reads M(n // j) from a running sum of mu up to COUNT_FROM * isqrt(n), where
-# consecutive quotients lie about COUNT_FROM^2 apart, and above it from two byte counts per gap.
-# The table alone against 4 (min of 9 interleaved) at n = 1.6*10^7, 2.56*10^8 and 10^9: 2..8 took
-# 0.97-1.05 times as long, 16 1.02-1.08 and no byte counts 1.08-1.15; at 10^6..4*10^6 all within 3%.
-COUNT_FROM = 4
+_SIGN_FLAGS = (b"\0\1" + bytes(254), bytes(255) + b"\1")  # a byte of mu to 1 where it is 1, then where it is -1
 # statistic stops probing once k is this many members from an end of its
 # bracket and walks the rest. On the same machine a walk step costs 0.14-0.18
 # us and a probe pass 0.09 ms at n = 10^5 and 0.29 ms at 10^6; a query at
@@ -192,11 +188,10 @@ def _mertens_table(n: int) -> tuple:
     sums pre[w] = W[1] + ... + W[w] that _rank_pass reads; at x = 1 that sum is
     U*pre[U] - sum(pre[:U]), and F(v, 1) = v(v+1)/2, so size = |F_n| comes in
     closed form. W[j] = M(n // j) - M(s), j <= J = max(isqrt(n*m), U), m = n // (k + 1), is
-    filled from mu(1..k), k = improved_cutoff(n), and one running sum of it started at -M(s)
-    up to COUNT_FROM * t, t = isqrt(n): where n // j <= t, one run of its value at w per
-    distinct w = n // j, over the j in (n // (w + 1), n // w]; its values at n // j for the
-    other j > m up to there; above it, where the quotients are sparse, one difference of
-    two byte counts of mu per gap between them; and for the d <= m, by
+    filled from one running sum of mu up to k = improved_cutoff(n) started at
+    -M(s): where n // j <= t = isqrt(n), one run of its value at w per distinct
+    w = n // j, over the j in (n // (w + 1), n // w]; its values at n // j for the
+    other j > m; and for the d <= m, by
     sum_{e<=v} M(v // e) = 1 at v = n // d > k, r = isqrt(v), q = v // (r + 1),
     W[d] = 1 - sum(W[2d : d*q + 1 : d]) - sum_{w<=r} mu(w) (v//w) + q (M(r) - M(s)):
     n // (d*e) = v // e (d*q < sqrt(n*d)) for e <= q, Abel summation for the rest.
@@ -204,27 +199,19 @@ def _mertens_table(n: int) -> tuple:
     k = improved_cutoff(n)
     mu = _mobius(k)
     t, m, s = isqrt(n), n // (k + 1), isqrt(n // PASS_DIV)
-    t0, j1 = n // (t + 1), max(n // (COUNT_FROM * t + 1), m)  # n // j > t for j <= t0, > COUNT_FROM * t for j <= j1
-    v1 = n // (j1 + 1)  # so the j in (j1, t0] have n // j in (t, v1], v1 <= k
-    acc = accumulate(mu[1 : v1 + 1], initial=-sum(mu[1 : s + 1]))
+    t0, v0 = n // (t + 1), n // (m + 1)  # n // j > t exactly for j <= t0, and v0 <= k
+    acc = accumulate(mu[1 : v0 + 1], initial=-sum(mu[1 : s + 1]))
     same = {}.setdefault  # equal values share one int object
     low = list(map(same, *tee(islice(acc, t + 1))))
-    at = bytearray(v1 + 1)
-    any(map(at.__setitem__, map(floordiv, repeat(n), range(j1 + 1, t0 + 1)), repeat(1)))
+    at = bytearray(v0 + 1)
+    any(map(at.__setitem__, map(floordiv, repeat(n), range(m + 1, t0 + 1)), repeat(1)))
     mid = list(map(same, *tee(compress(acc, islice(at, t + 1, None)))))
-    if j1 > m:  # mu is signed bytes 1 and 255, so M over each gap between the sparse quotients is two byte counts
-        tops = [v1 + 1, *map(floordiv, range(n + j1, n + m, -1), range(j1, m, -1))]  # then n // j + 1, j in (m, j1]
-        gaps = map(sub, *(map(mu.obj.count, repeat(b), tops, islice(tops, 1, None)) for b in (1, 255)))
-        mid += map(same, *tee(islice(accumulate(gaps, initial=mid[-1]), 1, None)))
-        del gaps
-    plus, minus = (list(compress(range(t + 1), map(sign.__eq__, mu))) for sign in (1, -1))
-    vs = [n // d + 1 for d in compress(range(s, 0, -1), mu[s:0:-1])]
-    signs = array("b", filter(None, mu[s:0:-1]))
-    del mu, acc, at  # mu's k bytes are free before W is built
+    del at
     J, w = max(isqrt(n * m), n // (s + 1)), n // (t0 + 1)  # j in (t0, J] has n // j <= w
     ends = tee(chain(map(floordiv, repeat(n), range(w + 1, n // J, -1)), (J,)))  # n // (w + 1) = t0
     far = chain.from_iterable(map(repeat, map(low.__getitem__, range(w, n // J - 1, -1)), map(sub, islice(ends[1], 1, None), ends[0])))
     W = list(chain(repeat(0, m + 1), reversed(mid), far))
+    plus, minus = (list(compress(range(t + 1), mu.obj[: t + 1].translate(flags))) for flags in _SIGN_FLAGS)
     for d in range(m, 0, -1):
         v = n // d
         r = isqrt(v)
@@ -236,7 +223,9 @@ def _mertens_table(n: int) -> tuple:
             + sum(map(floordiv, repeat(v), islice(minus, bisect_right(minus, r))))
             + q * low[r]
         )
-    del plus, minus, low, mid
+    vs = [n // d + 1 for d in compress(range(s, 0, -1), mu[s:0:-1])]
+    signs = array("b", filter(None, mu[s:0:-1]))
+    del plus, minus, low, mid, mu
     W = W[: n // (s + 1) + 1]  # a copy: del W[U + 1:] would allocate a buffer for the removed tail
     pre = list(accumulate(islice(W, 1, None), initial=0))
     del W

@@ -14,7 +14,6 @@ from fareylattice import farey
 from fareylattice.bench import golden_x
 from fareylattice.farey import (
     BRUTE_LIMIT,
-    COUNT_FROM,
     N_MAX,
     PASS_DIV,
     WALK_MAX,
@@ -346,21 +345,6 @@ class TestMertensTable:
             for n in (t * t - 1, t * t, t * (t + 1) - 1, t * (t + 1)):
                 if n >= 1:
                     self.check(n)
-
-    def test_where_the_byte_counts_start(self):
-        # the quotients n // j, j > n // (k + 1), above COUNT_FROM * isqrt(n) are read from byte
-        # counts of mu: none are at the last n below 2 * 10^4 with none (5201), and the first of
-        # them is COUNT_FROM * isqrt(n) + 1, right above the running sum's end, at the first n
-        # past 10^4 and 4 * 10^4 where it is
-        def first_counted(n):
-            j1, m = n // (COUNT_FROM * isqrt(n) + 1), n // (improved_cutoff(n) + 1)
-            return n // j1 if j1 > m else None
-
-        dense = max(n for n in range(1, 20_000) if first_counted(n) is None)
-        assert dense > 2000  # past test_every_n_to_2000
-        ns = [next(n for n in range(start, 44_100) if first_counted(n) == COUNT_FROM * isqrt(n) + 1) for start in (10**4, 4 * 10**4)]
-        for n in (dense, *ns):
-            self.check(n)
 
     def test_size_is_one_plus_the_totient_sum(self):
         # |F_n| is kept in the table in closed form, with no pass
